@@ -5,7 +5,7 @@
 //! here the criterion statistics cover 14/30/57.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use scada_analyzer::{Property, ResiliencySpec};
+use scada_analyzer::{Property, QueryCtx, ResiliencySpec};
 use scada_bench::{measure, resiliency_boundary, Workload};
 use std::hint::black_box;
 
@@ -30,6 +30,7 @@ fn bench_fig5a(c: &mut Criterion) {
                     black_box(&input),
                     Property::Observability,
                     ResiliencySpec::total(k_unsat),
+                    &QueryCtx::default(),
                 )
             })
         });
@@ -39,6 +40,7 @@ fn bench_fig5a(c: &mut Criterion) {
                     black_box(&input),
                     Property::Observability,
                     ResiliencySpec::total(k_sat),
+                    &QueryCtx::default(),
                 )
             })
         });

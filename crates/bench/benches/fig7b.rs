@@ -3,7 +3,7 @@
 //! more minimal vectors, hence more blocking-clause iterations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use scada_analyzer::{enumerate_threats, Property, ResiliencySpec};
+use scada_analyzer::{enumerate_threats, Property, QueryCtx, ResiliencySpec};
 use scada_bench::Workload;
 use std::hint::black_box;
 
@@ -29,6 +29,7 @@ fn bench_fig7b(c: &mut Criterion) {
                         Property::Observability,
                         ResiliencySpec::split(2, 1),
                         2000,
+                        &QueryCtx::default(),
                     )
                 })
             },

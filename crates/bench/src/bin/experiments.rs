@@ -34,16 +34,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use scada_analyzer::casestudy::{five_bus_case_study, five_bus_fig4};
-use scada_analyzer::parallel::{par_map, par_map_observed};
+use scada_analyzer::parallel::par_map;
 use scada_analyzer::{
-    enumerate_threats_with_limited, par_max_resiliency_certified, parse_duration, Analyzer,
-    BudgetAxis, CertifyOptions, JsonlTracer, MetricsRegistry, Obs, Property, QueryLimits,
-    ResiliencySpec, RetryPolicy,
+    enumerate_threats, par_max_resiliency, parse_duration, Analyzer, BudgetAxis, CertifyOptions,
+    JsonlTracer, MetricsRegistry, Property, QueryCtx, ResiliencySpec, RetryPolicy,
 };
 use scada_bench::csv::Table;
-use scada_bench::{
-    mean, measure_certified, measure_fleet_certified, resiliency_boundary, FleetQuery, Workload,
-};
+use scada_bench::{mean, measure, measure_fleet, resiliency_boundary, FleetQuery, Workload};
 
 const OBS: Property = Property::Observability;
 const SEC: Property = Property::SecuredObservability;
@@ -66,9 +63,7 @@ struct Options {
     runs: usize,
     seeds: u64,
     jobs: usize,
-    limits: QueryLimits,
-    obs: Obs,
-    certify: CertifyOptions,
+    ctx: QueryCtx,
 }
 
 fn main() {
@@ -108,34 +103,34 @@ fn main() {
         );
         std::process::exit(2);
     }
-    let mut limits = QueryLimits::none();
+    let mut ctx = QueryCtx::default();
     if let Some(v) = raw("--timeout") {
         let Some(timeout) = parse_duration(v) else {
             eprintln!("error: bad --timeout `{v}` (use e.g. 150ms, 5s, 2m)");
             std::process::exit(2);
         };
-        limits = limits.with_timeout(timeout);
+        ctx.limits = ctx.limits.with_timeout(timeout);
     }
     if let Some(v) = raw("--conflict-budget") {
         let Ok(budget) = v.parse::<u64>() else {
             eprintln!("error: bad --conflict-budget `{v}` (expected a number)");
             std::process::exit(2);
         };
-        limits = limits
+        ctx.limits = ctx
+            .limits
             .with_conflict_budget(budget)
             .with_retry(RetryPolicy::escalating(4));
     }
 
     // Observability: a JSONL trace sink and/or a metrics registry,
     // shared by every experiment of the run.
-    let mut obs = Obs::none();
     let mut tracer: Option<Arc<JsonlTracer>> = None;
     if let Some(trace_path) = raw("--trace") {
         match JsonlTracer::to_file(Path::new(trace_path)) {
             Ok(sink) => {
                 let sink = Arc::new(sink);
                 tracer = Some(sink.clone());
-                obs = obs.with_tracer(sink);
+                ctx.obs = ctx.obs.with_tracer(sink);
             }
             Err(e) => {
                 eprintln!("error: cannot create trace file {trace_path}: {e}");
@@ -147,24 +142,19 @@ fn main() {
     if args.iter().any(|a| a == "--stats") {
         let registry = Arc::new(MetricsRegistry::new());
         metrics = Some(registry.clone());
-        obs = obs.with_metrics(registry);
+        ctx.obs = ctx.obs.with_metrics(registry);
     }
 
     // `--certify`: re-check every verdict of the run; all checks tally
     // into this one shared log. (An exact match on purpose — unlike the
     // experiment selectors, `--all` does not imply it.)
-    let certify = CertifyOptions {
-        enabled: args.iter().any(|a| a == "--certify"),
-        ..CertifyOptions::default()
-    };
+    ctx.certify.enabled = args.iter().any(|a| a == "--certify");
 
     let opts = Options {
         runs: value("--runs", 5),
         seeds: value("--seeds", 3) as u64,
         jobs: value("--jobs", 0),
-        limits,
-        obs,
-        certify,
+        ctx,
     };
 
     // CI smoke check; deliberately not part of --all.
@@ -209,8 +199,8 @@ fn main() {
         }
         print!("{}", table.to_aligned());
     }
-    if opts.certify.enabled {
-        let log = &opts.certify.log;
+    if opts.ctx.certify.enabled {
+        let log = &opts.ctx.certify.log;
         println!(
             "certification: {} verdict(s) checked, {} failure(s)",
             log.checks(),
@@ -240,8 +230,8 @@ fn smoke(opts: &Options) {
             spec: ResiliencySpec::total(1),
         })
         .collect();
-    let serial = measure_fleet_certified(&fleet, 1, &opts.limits, &opts.obs, &opts.certify);
-    let parallel = measure_fleet_certified(&fleet, jobs, &opts.limits, &opts.obs, &opts.certify);
+    let serial = measure_fleet(&fleet, 1, &opts.ctx);
+    let parallel = measure_fleet(&fleet, jobs, &opts.ctx);
     for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
         // Definite verdicts must agree; an `unknown` (possible only when
         // running bounded) is timing-dependent and tolerated.
@@ -260,19 +250,11 @@ fn smoke(opts: &Options) {
         );
     }
     let input = Workload::default().build();
-    let serial_max =
-        Analyzer::new(&input).max_resiliency_limited(OBS, BudgetAxis::IedsOnly, 1, &opts.limits);
-    let parallel_max = par_max_resiliency_certified(
-        &input,
-        OBS,
-        BudgetAxis::IedsOnly,
-        1,
-        jobs,
-        &opts.limits,
-        &opts.obs,
-        &opts.certify,
-    );
-    if opts.limits.is_unbounded() {
+    let mut serial = Analyzer::new(&input);
+    serial.set_limits(opts.ctx.limits.clone());
+    let serial_max = serial.max_resiliency(OBS, BudgetAxis::IedsOnly, 1);
+    let parallel_max = par_max_resiliency(&input, OBS, BudgetAxis::IedsOnly, 1, jobs, &opts.ctx);
+    if opts.ctx.limits.is_unbounded() {
         assert_eq!(serial_max, parallel_max, "max-resiliency drift");
         println!("  max IED-only resiliency: {parallel_max:?} (serial == parallel)");
     } else {
@@ -291,16 +273,12 @@ fn case_study(opts: &Options) {
     let fig4 = five_bus_fig4();
     let mut table = Table::new(["experiment", "paper", "measured", "match"]);
 
-    let mut a3 = Analyzer::with_options(&fig3, opts.obs.clone(), opts.certify.clone());
-    let mut a4 = Analyzer::with_options(&fig4, opts.obs.clone(), opts.certify.clone());
+    let ctx = &opts.ctx;
+    let mut a3 = Analyzer::with_options(&fig3, ctx.obs.clone(), ctx.certify.clone());
+    let mut a4 = Analyzer::with_options(&fig4, ctx.obs.clone(), ctx.certify.clone());
 
-    // Enumeration mutates the analyzer's solver with blocking clauses,
-    // so each threat-space count gets its own fresh analyzer; `--timeout`
-    // / `--conflict-budget` bound the whole enumeration run.
-    let enumerate = |input, property, spec| {
-        let mut analyzer = Analyzer::with_options(input, opts.obs.clone(), opts.certify.clone());
-        enumerate_threats_with_limited(&mut analyzer, property, spec, 64, &opts.limits)
-    };
+    // `--timeout` / `--conflict-budget` bound each whole enumeration run.
+    let enumerate = |input, property, spec| enumerate_threats(input, property, spec, 64, ctx);
 
     let row = |table: &mut Table, name: &str, paper: &str, measured: String| {
         let ok = paper == measured;
@@ -439,7 +417,7 @@ fn fig5(property: Property, name: &str, opts: &Options) {
                 seed,
             })
             .collect();
-        let boundaries = par_map(&workloads, opts.jobs, |_, w| {
+        let boundaries = par_map(&workloads, opts.jobs, &opts.ctx.obs, |_, w, _| {
             let input = w.build();
             (
                 input.field_devices().len(),
@@ -475,8 +453,7 @@ fn fig5(property: Property, name: &str, opts: &Options) {
                 }
             }
         }
-        let measured =
-            measure_fleet_certified(&fleet, opts.jobs, &opts.limits, &opts.obs, &opts.certify);
+        let measured = measure_fleet(&fleet, opts.jobs, &opts.ctx);
 
         let mut unsat_times = Vec::new();
         let mut sat_times = Vec::new();
@@ -545,7 +522,7 @@ fn fig6(opts: &Options) {
                     seed,
                 })
                 .collect();
-            let boundaries = par_map(&workloads, opts.jobs, |_, w| {
+            let boundaries = par_map(&workloads, opts.jobs, &opts.ctx.obs, |_, w, _| {
                 let input = w.build();
                 resiliency_boundary(&input, OBS, 8)
             });
@@ -567,8 +544,7 @@ fn fig6(opts: &Options) {
                     }
                 }
             }
-            let measured =
-                measure_fleet_certified(&fleet, opts.jobs, &opts.limits, &opts.obs, &opts.certify);
+            let measured = measure_fleet(&fleet, opts.jobs, &opts.ctx);
 
             let mut unsat_times = Vec::new();
             let mut sat_times = Vec::new();
@@ -612,15 +588,16 @@ fn fig7a(opts: &Options) {
                 seed,
             })
             .collect();
-        let rows = par_map(&workloads, opts.jobs, |_, w| {
+        let rows = par_map(&workloads, opts.jobs, &opts.ctx.obs, |_, w, _| {
             let input = w.build();
-            let mut analyzer =
-                Analyzer::with_options(&input, opts.obs.clone(), opts.certify.clone());
+            let ctx = &opts.ctx;
+            let mut analyzer = Analyzer::with_options(&input, ctx.obs.clone(), ctx.certify.clone());
+            analyzer.set_limits(ctx.limits.clone());
             let ied = analyzer
-                .max_resiliency_limited(OBS, BudgetAxis::IedsOnly, 1, &opts.limits)
+                .max_resiliency(OBS, BudgetAxis::IedsOnly, 1)
                 .map_or(-1.0, |k| k as f64);
             let rtu = analyzer
-                .max_resiliency_limited(OBS, BudgetAxis::RtusOnly, 1, &opts.limits)
+                .max_resiliency(OBS, BudgetAxis::RtusOnly, 1)
                 .map_or(-1.0, |k| k as f64);
             (ied, rtu, input.measurements.len() as f64)
         });
@@ -655,10 +632,10 @@ fn fig7b(opts: &Options) {
             }
         }
     }
-    let counts = par_map_observed(
+    let counts = par_map(
         &items,
         opts.jobs,
-        &opts.obs,
+        &opts.ctx.obs,
         |_, &(hierarchy, k1, k2, seed), _| {
             let input = Workload {
                 buses: 14,
@@ -670,16 +647,8 @@ fn fig7b(opts: &Options) {
             .build();
             // Bounded enumeration: a limit-exhausted run yields a partial
             // (undecided) space instead of hanging the whole sweep.
-            let mut analyzer =
-                Analyzer::with_options(&input, opts.obs.clone(), opts.certify.clone());
-            enumerate_threats_with_limited(
-                &mut analyzer,
-                OBS,
-                ResiliencySpec::split(k1, k2),
-                2000,
-                &opts.limits,
-            )
-            .len() as f64
+            enumerate_threats(&input, OBS, ResiliencySpec::split(k1, k2), 2000, &opts.ctx).len()
+                as f64
         },
     );
     for hierarchy in 1..=4usize {
@@ -734,16 +703,12 @@ fn headline(opts: &Options) {
             queries.push((property, k));
         }
     }
-    let measured = par_map_observed(&queries, opts.jobs, &opts.obs, |_, &(property, k), _| {
-        measure_certified(
-            &input,
-            property,
-            ResiliencySpec::total(k),
-            &opts.limits,
-            &opts.obs,
-            &opts.certify,
-        )
-    });
+    let measured = par_map(
+        &queries,
+        opts.jobs,
+        &opts.ctx.obs,
+        |_, &(property, k), _| measure(&input, property, ResiliencySpec::total(k), &opts.ctx),
+    );
     for ((property, k), m) in queries.iter().zip(&measured) {
         use scada_bench::Outcome;
         table.push([
@@ -789,12 +754,15 @@ fn overhead(opts: &Options) {
         .iter()
         .flat_map(|&p| (0..4).map(move |k| (p, k)))
         .collect();
+    let ctx = &opts.ctx;
     let certify = CertifyOptions {
         enabled: true,
-        ..opts.certify.clone()
+        ..ctx.certify.clone()
     };
-    let mut plain_analyzer = Analyzer::with_obs(&input, opts.obs.clone());
-    let mut cert_analyzer = Analyzer::with_options(&input, opts.obs.clone(), certify.clone());
+    let mut plain_analyzer = Analyzer::with_options(&input, ctx.obs.clone(), Default::default());
+    let mut cert_analyzer = Analyzer::with_options(&input, ctx.obs.clone(), certify.clone());
+    plain_analyzer.set_limits(ctx.limits.clone());
+    cert_analyzer.set_limits(ctx.limits.clone());
     let mut table = Table::new([
         "property",
         "k",
@@ -809,11 +777,11 @@ fn overhead(opts: &Options) {
     for &(property, k) in &queries {
         let spec = ResiliencySpec::total(k);
         let t = Instant::now();
-        let plain = plain_analyzer.verify_with_report_limited(property, spec, &opts.limits);
+        let plain = plain_analyzer.verify_with_report(property, spec);
         let solve = t.elapsed();
         plain_total += solve;
         let t = Instant::now();
-        let certified = cert_analyzer.verify_with_report_limited(property, spec, &opts.limits);
+        let certified = cert_analyzer.verify_with_report(property, spec);
         let certified_elapsed = t.elapsed();
         assert_eq!(
             verdict_str(&plain.verdict),

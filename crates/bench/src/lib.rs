@@ -15,10 +15,9 @@ use std::time::{Duration, Instant};
 
 use powergrid::ieee::ieee14;
 use powergrid::synthetic::ieee_sized;
-use scada_analyzer::parallel::par_map_observed;
+use scada_analyzer::parallel::par_map;
 use scada_analyzer::{
-    AnalysisInput, Analyzer, Certificate, CertifyOptions, Obs, Property, QueryLimits,
-    ResiliencySpec, Verdict,
+    AnalysisInput, Analyzer, Certificate, Property, QueryCtx, ResiliencySpec, Verdict,
 };
 use scadasim::{generate, ScadaGenConfig};
 
@@ -139,56 +138,23 @@ pub struct Measured {
 
 /// Runs one verification from scratch (model construction + solve), the
 /// paper's notion of "execution time of the model".
-pub fn measure(input: &AnalysisInput, property: Property, spec: ResiliencySpec) -> Measured {
-    measure_limited(input, property, spec, &QueryLimits::none())
-}
-
-/// [`measure`] under resource limits: a query stopped by its deadline or
+///
+/// The query runs through `ctx`: a query stopped by its deadline or
 /// conflict budget measures as [`Outcome::Unknown`] instead of running
-/// unbounded.
-pub fn measure_limited(
+/// unbounded, trace events and metrics flow through `ctx.obs`, and when
+/// `ctx.certify` is enabled the verdict is re-checked by the independent
+/// proof/model checker, the check lands in its log, and
+/// [`Measured::cert`] carries the time the checker spent.
+pub fn measure(
     input: &AnalysisInput,
     property: Property,
     spec: ResiliencySpec,
-    limits: &QueryLimits,
-) -> Measured {
-    measure_observed(input, property, spec, limits, &Obs::none())
-}
-
-/// [`measure_limited`] with observability: the query's trace events and
-/// metrics flow through `obs`.
-pub fn measure_observed(
-    input: &AnalysisInput,
-    property: Property,
-    spec: ResiliencySpec,
-    limits: &QueryLimits,
-    obs: &Obs,
-) -> Measured {
-    measure_certified(
-        input,
-        property,
-        spec,
-        limits,
-        obs,
-        &CertifyOptions::default(),
-    )
-}
-
-/// [`measure_observed`] with verdict certification: when `certify` is
-/// enabled the verdict is re-checked by the independent proof/model
-/// checker, the check lands in `certify.log`, and [`Measured::cert`]
-/// carries the time the checker spent.
-pub fn measure_certified(
-    input: &AnalysisInput,
-    property: Property,
-    spec: ResiliencySpec,
-    limits: &QueryLimits,
-    obs: &Obs,
-    certify: &CertifyOptions,
+    ctx: &QueryCtx,
 ) -> Measured {
     let start = Instant::now();
-    let mut analyzer = Analyzer::with_options(input, obs.clone(), certify.clone());
-    let report = analyzer.verify_with_report_limited(property, spec, limits);
+    let mut analyzer = Analyzer::with_options(input, ctx.obs.clone(), ctx.certify.clone());
+    analyzer.set_limits(ctx.limits.clone());
+    let report = analyzer.verify_with_report(property, spec);
     let cert = match report.certificate {
         Some(Certificate::Threat { elapsed, .. }) | Some(Certificate::Proof { elapsed, .. }) => {
             elapsed
@@ -224,48 +190,15 @@ pub struct FleetQuery {
 ///
 /// Every fleet entry builds its own input and analyzer, so results are
 /// in input order and identical to calling [`measure`] serially —
-/// parallelism only changes the wall-clock.
-pub fn measure_fleet(fleet: &[FleetQuery], jobs: usize) -> Vec<Measured> {
-    measure_fleet_limited(fleet, jobs, &QueryLimits::none())
-}
-
-/// [`measure_fleet`] under resource limits: each fleet entry gets its
-/// own copy of `limits` (a per-entry wall-clock allowance when built
-/// with [`QueryLimits::with_timeout`]); entries stopped by a limit come
-/// back [`Outcome::Unknown`] and the rest of the fleet is unaffected.
-pub fn measure_fleet_limited(
-    fleet: &[FleetQuery],
-    jobs: usize,
-    limits: &QueryLimits,
-) -> Vec<Measured> {
-    measure_fleet_observed(fleet, jobs, limits, &Obs::none())
-}
-
-/// [`measure_fleet_limited`] with observability: per-worker fleet events
-/// plus the query-lifecycle events of every measured query through
-/// `obs`.
-pub fn measure_fleet_observed(
-    fleet: &[FleetQuery],
-    jobs: usize,
-    limits: &QueryLimits,
-    obs: &Obs,
-) -> Vec<Measured> {
-    measure_fleet_certified(fleet, jobs, limits, obs, &CertifyOptions::default())
-}
-
-/// [`measure_fleet_observed`] with verdict certification: every worker
-/// certifies its own queries, and all checks tally into the one log
-/// shared through `certify`.
-pub fn measure_fleet_certified(
-    fleet: &[FleetQuery],
-    jobs: usize,
-    limits: &QueryLimits,
-    obs: &Obs,
-    certify: &CertifyOptions,
-) -> Vec<Measured> {
-    par_map_observed(fleet, jobs, obs, |_, query, _| {
+/// parallelism only changes the wall-clock. Each entry gets its own
+/// copy of `ctx.limits` (a per-entry wall-clock allowance when built
+/// with [`QueryLimits::with_timeout`](scada_analyzer::QueryLimits::with_timeout));
+/// per-worker fleet events go through `ctx.obs`, and all certificate
+/// checks tally into the one log shared through `ctx.certify`.
+pub fn measure_fleet(fleet: &[FleetQuery], jobs: usize, ctx: &QueryCtx) -> Vec<Measured> {
+    par_map(fleet, jobs, &ctx.obs, |_, query, _| {
         let input = query.workload.build();
-        measure_certified(&input, query.property, query.spec, limits, obs, certify)
+        measure(&input, query.property, query.spec, ctx)
     })
 }
 
@@ -323,7 +256,12 @@ mod tests {
     #[test]
     fn measure_produces_sensible_numbers() {
         let input = Workload::default().build();
-        let m = measure(&input, Property::Observability, ResiliencySpec::total(0));
+        let m = measure(
+            &input,
+            Property::Observability,
+            ResiliencySpec::total(0),
+            &QueryCtx::default(),
+        );
         assert!(m.variables > 0);
         assert!(m.clauses > 0);
         assert!(m.duration > Duration::ZERO);
@@ -350,8 +288,8 @@ mod tests {
                 spec: ResiliencySpec::total(k),
             })
             .collect();
-        let serial = measure_fleet(&fleet, 1);
-        let parallel = measure_fleet(&fleet, 2);
+        let serial = measure_fleet(&fleet, 1, &QueryCtx::default());
+        let parallel = measure_fleet(&fleet, 2, &QueryCtx::default());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.outcome, p.outcome);
             assert_eq!(s.variables, p.variables);
@@ -361,12 +299,15 @@ mod tests {
 
     #[test]
     fn bounded_measurement_degrades_to_unknown() {
-        use scada_analyzer::RetryPolicy;
+        use scada_analyzer::{QueryLimits, RetryPolicy};
         let input = Workload::default().build();
         // A 1-conflict budget with no retry leaves a nontrivial query
         // undecided — and must not panic or hang.
-        let tiny = QueryLimits::none().with_conflict_budget(1);
-        let m = measure_limited(
+        let tiny = QueryCtx {
+            limits: QueryLimits::none().with_conflict_budget(1),
+            ..QueryCtx::default()
+        };
+        let m = measure(
             &input,
             Property::Observability,
             ResiliencySpec::total(3),
@@ -375,10 +316,13 @@ mod tests {
         if m.outcome.is_unknown() {
             // Escalating retry from the same tiny base budget reaches a
             // definite verdict.
-            let escalated = QueryLimits::none()
-                .with_conflict_budget(1)
-                .with_retry(RetryPolicy::escalating(32));
-            let m2 = measure_limited(
+            let escalated = QueryCtx {
+                limits: QueryLimits::none()
+                    .with_conflict_budget(1)
+                    .with_retry(RetryPolicy::escalating(32)),
+                ..QueryCtx::default()
+            };
+            let m2 = measure(
                 &input,
                 Property::Observability,
                 ResiliencySpec::total(3),
@@ -391,14 +335,16 @@ mod tests {
     #[test]
     fn certified_measurement_populates_the_shared_log() {
         let input = Workload::default().build();
-        let certify = CertifyOptions::enabled();
-        let m = measure_certified(
+        let ctx = QueryCtx {
+            certify: scada_analyzer::CertifyOptions::enabled(),
+            ..QueryCtx::default()
+        };
+        let certify = &ctx.certify;
+        let m = measure(
             &input,
             Property::Observability,
             ResiliencySpec::total(1),
-            &QueryLimits::none(),
-            &Obs::none(),
-            &certify,
+            &ctx,
         );
         assert!(!m.outcome.is_unknown());
         assert!(m.cert > Duration::ZERO, "certified runs report check time");
@@ -410,7 +356,12 @@ mod tests {
             certify.log.first_failure()
         );
         // Uncertified measurement reports no check time.
-        let plain = measure(&input, Property::Observability, ResiliencySpec::total(1));
+        let plain = measure(
+            &input,
+            Property::Observability,
+            ResiliencySpec::total(1),
+            &QueryCtx::default(),
+        );
         assert_eq!(plain.cert, Duration::ZERO);
         assert_eq!(plain.outcome, m.outcome);
     }

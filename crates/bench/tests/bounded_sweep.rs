@@ -5,8 +5,8 @@
 
 use std::time::{Duration, Instant};
 
-use scada_analyzer::{Property, QueryLimits, ResiliencySpec, RetryPolicy};
-use scada_bench::{measure, measure_limited, Workload};
+use scada_analyzer::{Property, QueryCtx, QueryLimits, ResiliencySpec, RetryPolicy};
+use scada_bench::{measure, Workload};
 
 fn ieee57() -> Workload {
     Workload {
@@ -18,6 +18,13 @@ fn ieee57() -> Workload {
     }
 }
 
+fn bounded(limits: QueryLimits) -> QueryCtx {
+    QueryCtx {
+        limits,
+        ..QueryCtx::default()
+    }
+}
+
 /// A 100ms wall-clock allowance on an IEEE-57 query returns promptly —
 /// either `unknown` or a verdict it happened to reach in time — instead
 /// of hanging or panicking.
@@ -26,11 +33,11 @@ fn ieee57_timeout_returns_promptly() {
     let input = ieee57().build();
     let limits = QueryLimits::none().with_timeout(Duration::from_millis(100));
     let started = Instant::now();
-    let m = measure_limited(
+    let m = measure(
         &input,
         Property::SecuredObservability,
         ResiliencySpec::total(4),
-        &limits,
+        &bounded(limits),
     );
     // Generous slack for encoding time (the deadline only bounds the
     // solver's search): the point is "no hang", not a hard 100ms.
@@ -50,11 +57,11 @@ fn ieee57_timeout_returns_promptly() {
 fn ieee57_expired_deadline_is_unknown() {
     let input = ieee57().build();
     let limits = QueryLimits::none().with_deadline(Instant::now());
-    let m = measure_limited(
+    let m = measure(
         &input,
         Property::Observability,
         ResiliencySpec::total(2),
-        &limits,
+        &bounded(limits),
     );
     assert!(m.outcome.is_unknown(), "expired deadline must degrade");
     assert!(m.variables > 0, "encoding statistics still reported");
@@ -67,7 +74,7 @@ fn ieee57_unlimited_matches_seed_and_escalation_converges() {
     let input = ieee57().build();
     let property = Property::Observability;
     let spec = ResiliencySpec::total(0);
-    let reference = measure(&input, property, spec);
+    let reference = measure(&input, property, spec, &QueryCtx::default());
     assert!(
         !reference.outcome.is_unknown(),
         "unlimited queries always decide"
@@ -75,7 +82,7 @@ fn ieee57_unlimited_matches_seed_and_escalation_converges() {
     let escalated = QueryLimits::none()
         .with_conflict_budget(1)
         .with_retry(RetryPolicy::escalating(32));
-    let bounded = measure_limited(&input, property, spec, &escalated);
-    assert!(!bounded.outcome.is_unknown(), "escalation must converge");
-    assert_eq!(bounded.outcome, reference.outcome);
+    let escalated = measure(&input, property, spec, &bounded(escalated));
+    assert!(!escalated.outcome.is_unknown(), "escalation must converge");
+    assert_eq!(escalated.outcome, reference.outcome);
 }

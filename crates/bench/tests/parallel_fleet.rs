@@ -3,7 +3,7 @@
 //! fleet result, and `verify_batch` matches per-query serial analysis.
 
 use proptest::prelude::*;
-use scada_analyzer::{verify_batch, Analyzer, Property, ResiliencySpec};
+use scada_analyzer::{verify_batch, Analyzer, Property, QueryCtx, ResiliencySpec};
 use scada_bench::{measure_fleet, FleetQuery, Workload};
 
 fn workload_strategy() -> impl Strategy<Value = Workload> {
@@ -49,9 +49,9 @@ proptest! {
                 spec: ResiliencySpec::total(k + i % 2),
             })
             .collect();
-        let serial = measure_fleet(&fleet, 1);
+        let serial = measure_fleet(&fleet, 1, &QueryCtx::default());
         for jobs in [2usize, 8] {
-            let parallel = measure_fleet(&fleet, jobs);
+            let parallel = measure_fleet(&fleet, jobs, &QueryCtx::default());
             prop_assert_eq!(parallel.len(), serial.len());
             for (p, s) in parallel.iter().zip(&serial) {
                 prop_assert_eq!(p.outcome, s.outcome);
@@ -75,7 +75,7 @@ proptest! {
             .map(|&(p, s)| Analyzer::new(&input).verify_with_report(p, s))
             .collect();
         for jobs in [1usize, 2, 8] {
-            let parallel = verify_batch(&input, &queries, jobs);
+            let parallel = verify_batch(&input, &queries, jobs, &QueryCtx::default());
             for (p, s) in parallel.iter().zip(&serial) {
                 prop_assert_eq!(&p.verdict, &s.verdict);
                 prop_assert_eq!(p.encoding.variables, s.encoding.variables);

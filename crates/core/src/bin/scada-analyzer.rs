@@ -66,9 +66,11 @@
 //! With `--timeout` / `--conflict-budget` a query that runs out of
 //! resources prints `UNKNOWN` instead of hanging; the limits also bound
 //! `--enumerate`, whose threat space is then reported *undecided* when a
-//! search was cut short. Exit codes: 0 all verified resilient, 1 some
-//! threat found, 2 usage error (including malformed option values),
-//! 3 no threat but at least one query or enumeration undecided, 4 a
+//! search was cut short, and `--repair`, whose whole search shares one
+//! deadline and prints `repair: undecided` when a limit cut it short.
+//! Exit codes: 0 all verified resilient, 1 some threat found, 2 usage
+//! error (including malformed option values), 3 no threat but at least
+//! one query, enumeration or repair undecided, 4 a
 //! `--certify` check failed (takes precedence over every other code —
 //! an uncertified verdict is worse than a threat), 6 (`--batch` only)
 //! at least one config failed to import or execute while the rest of
@@ -79,11 +81,10 @@ use std::sync::Arc;
 
 use scada_analyzer::obs::json_escape_into;
 use scada_analyzer::service::{parse_json, Json};
-use scada_analyzer::synthesis::{synthesize_upgrades_certified, SynthesisOptions, SynthesisResult};
+use scada_analyzer::synthesis::{synthesize_upgrades, SynthesisOptions, SynthesisResult};
 use scada_analyzer::{
-    enumerate_threats_with_limited, par_max_resiliency_certified, parse_duration,
-    verify_batch_certified, AnalysisInput, Analyzer, BudgetAxis, CertFault, Certificate,
-    CertifyOptions, JsonlTracer, MetricsRegistry, Obs, Property, QueryLimits, ResiliencySpec,
+    enumerate_threats, par_max_resiliency, parse_duration, verify_batch, AnalysisInput, BudgetAxis,
+    CertFault, Certificate, JsonlTracer, MetricsRegistry, Property, QueryCtx, ResiliencySpec,
     RetryPolicy, Verdict,
 };
 use scadasim::parse_config;
@@ -245,26 +246,25 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     spec = spec.with_link_failures(opt(args, "--links")?.unwrap_or(config_link_failures));
     let jobs = opt(args, "--jobs")?.unwrap_or(0);
 
+    let mut ctx = QueryCtx::default();
     // Resource limits: a bounded query degrades to UNKNOWN, never hangs.
-    let mut limits = QueryLimits::none();
     if let Some(v) = raw(args, "--timeout")? {
         let Some(timeout) = parse_duration(v) else {
             return Err(format!("bad --timeout `{v}` (use e.g. 150ms, 5s, 2m)"));
         };
-        limits = limits.with_timeout(timeout);
+        ctx.limits = ctx.limits.with_timeout(timeout);
     }
     if let Some(budget) = opt::<u64>(args, "--conflict-budget")? {
-        limits = limits
+        ctx.limits = ctx
+            .limits
             .with_conflict_budget(budget)
             .with_retry(RetryPolicy::escalating(4));
     }
 
     // Certification: every verdict re-checked by the independent
     // model/proof checkers; failures flip the exit code to 4.
-    let mut certify = CertifyOptions {
-        enabled: flag("--certify"),
-        ..CertifyOptions::default()
-    };
+    let certify = &mut ctx.certify;
+    certify.enabled = flag("--certify");
     if let Some(dir) = raw(args, "--proof-dir")? {
         let dir = std::path::PathBuf::from(dir);
         std::fs::create_dir_all(&dir)
@@ -285,21 +285,21 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 
     // Observability: a JSONL trace sink and/or an in-memory metrics
     // registry. Both default to off — the analyzer then pays nothing.
-    let mut obs = Obs::none();
     let mut tracer: Option<Arc<JsonlTracer>> = None;
     if let Some(trace_path) = raw(args, "--trace")? {
         let sink = JsonlTracer::to_file(std::path::Path::new(trace_path))
             .map_err(|e| format!("cannot create trace file {trace_path}: {e}"))?;
         let sink = Arc::new(sink);
         tracer = Some(sink.clone());
-        obs = obs.with_tracer(sink);
+        ctx.obs = ctx.obs.with_tracer(sink);
     }
     let mut metrics: Option<Arc<MetricsRegistry>> = None;
     if flag("--stats") {
         let registry = Arc::new(MetricsRegistry::new());
         metrics = Some(registry.clone());
-        obs = obs.with_metrics(registry);
+        ctx.obs = ctx.obs.with_metrics(registry);
     }
+    let certify = &ctx.certify;
 
     let properties = parse_properties(args)?;
 
@@ -319,7 +319,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let mut any_threat = false;
     let mut any_unknown = false;
     let queries: Vec<(Property, ResiliencySpec)> = properties.iter().map(|&p| (p, spec)).collect();
-    let reports = verify_batch_certified(&input, &queries, jobs, &limits, &obs, &certify);
+    let reports = verify_batch(&input, &queries, jobs, &ctx);
     for (&property, report) in properties.iter().zip(&reports) {
         match &report.verdict {
             Verdict::Resilient => {
@@ -364,9 +364,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             // Enumeration honours the same limits as verification: a
             // bounded run terminates and reports an undecided space
             // instead of hanging.
-            let mut enum_analyzer = Analyzer::with_options(&input, obs.clone(), certify.clone());
-            let space =
-                enumerate_threats_with_limited(&mut enum_analyzer, property, spec, 1000, &limits);
+            let space = enumerate_threats(&input, property, spec, 1000, &ctx);
             if space.undecided {
                 any_unknown = true;
             }
@@ -397,36 +395,12 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
 
         if flag("--max-resiliency") {
             let fmt = |m: Option<usize>| m.map_or("none".to_string(), |k| k.to_string());
-            let ied = par_max_resiliency_certified(
-                &input,
-                property,
+            let [ied, rtu, total] = [
                 BudgetAxis::IedsOnly,
-                r,
-                jobs,
-                &limits,
-                &obs,
-                &certify,
-            );
-            let rtu = par_max_resiliency_certified(
-                &input,
-                property,
                 BudgetAxis::RtusOnly,
-                r,
-                jobs,
-                &limits,
-                &obs,
-                &certify,
-            );
-            let total = par_max_resiliency_certified(
-                &input,
-                property,
                 BudgetAxis::Total,
-                r,
-                jobs,
-                &limits,
-                &obs,
-                &certify,
-            );
+            ]
+            .map(|axis| par_max_resiliency(&input, property, axis, r, jobs, &ctx));
             println!(
                 "  max resiliency: IEDs-only {}, RTUs-only {}, total {}",
                 fmt(ied),
@@ -436,14 +410,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         }
 
         if flag("--repair") && property != Property::Observability {
-            match synthesize_upgrades_certified(
-                &input,
-                property,
-                spec,
-                &SynthesisOptions::default(),
-                &obs,
-                &certify,
-            ) {
+            match synthesize_upgrades(&input, property, spec, &SynthesisOptions::default(), &ctx) {
                 SynthesisResult::AlreadyResilient => {
                     println!("  repair: nothing to do");
                 }
@@ -463,6 +430,10 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                          not cryptographic"
                     );
                 }
+                SynthesisResult::Undecided => {
+                    any_unknown = true;
+                    println!("  repair: undecided (limit exhausted)");
+                }
             }
         }
     }
@@ -471,10 +442,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         // Property-independent: one cardinality-descent per electrical
         // component over the measurement set, certified (and
         // fault-injectable) through the same log as the verdicts above.
-        let mut engine = scada_analyzer::SecurityIndexAnalyzer::with_certification(
-            &input.measurements,
-            &certify,
-        );
+        let mut engine =
+            scada_analyzer::SecurityIndexAnalyzer::with_certification(&input.measurements, certify);
         let distribution = engine.distribution();
         println!(
             "security index: min {} / max {} over {} measurement(s)  ({} solve(s){})",

@@ -12,8 +12,6 @@
 //!                    sessions and the verdict cache, routed by model
 //!                    hash (default 1; totals below are divided across
 //!                    shards; >1 also replicates hot verdicts)
-//!   --thread-per-conn with --listen, use the legacy one-thread-per-
-//!                    connection transport instead of the event loop
 //!   --sessions N     warm analyzer sessions kept alive (default 8)
 //!   --cache N        cached verdicts kept (default 1024, 0 disables)
 //!   --max-inflight N concurrent queries admitted (0 = one per core)
@@ -74,8 +72,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use scada_analyzer::service::{
-    serve_stdio, serve_tcp, signal, Durability, FaultPlan, JournalConfig, JournaledEngine,
-    LineHandler, ServeOptions, ShardedEngine,
+    serve_stdio, signal, Durability, FaultPlan, JournalConfig, JournaledEngine, LineHandler,
+    ServeOptions, ShardedEngine,
 };
 use scada_analyzer::{CertifyOptions, JsonlTracer, Obs};
 
@@ -123,24 +121,24 @@ fn opt<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, S
 
 /// Serves the chosen transport, generic over the handler so the bare
 /// sharded engine and the journal wrapper share every code path: a
-/// bound listener runs the readiness event loop where available (unix,
-/// thread-per-connection elsewhere or on request); otherwise stdio.
+/// bound listener runs the readiness event loop (thread-per-connection
+/// on non-unix platforms, where the event loop does not compile);
+/// otherwise stdio.
 fn serve<H: LineHandler>(
     engine: Arc<H>,
     listener: Option<std::net::TcpListener>,
-    thread_per_conn: bool,
 ) -> std::io::Result<()> {
     let Some(listener) = listener else {
         return serve_stdio(&*engine, std::io::stdin(), std::io::stdout());
     };
     #[cfg(unix)]
     {
-        if !thread_per_conn {
-            return scada_analyzer::service::serve_event_loop(engine, listener, 0);
-        }
+        scada_analyzer::service::serve_event_loop(engine, listener, 0)
     }
-    let _ = thread_per_conn;
-    serve_tcp(engine, listener)
+    #[cfg(not(unix))]
+    {
+        scada_analyzer::service::serve_tcp(engine, listener)
+    }
 }
 
 fn run(args: &[String]) -> Result<ExitCode, String> {
@@ -226,10 +224,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let shards: usize = opt(args, "--shards")?.unwrap_or(1);
     if shards == 0 {
         return Err("--shards must be at least 1".to_string());
-    }
-    let thread_per_conn = flag("--thread-per-conn");
-    if thread_per_conn && listen.is_none() {
-        return Err("--thread-per-conn requires --listen".to_string());
     }
 
     let journal_dir = raw(args, "--journal")?.cloned();
@@ -317,9 +311,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     })
                     .map_err(|e| format!("cannot spawn recovery thread: {e}"))?;
             }
-            serve(journaled, listener, thread_per_conn)
+            serve(journaled, listener)
         }
-        None => serve(engine, listener, thread_per_conn),
+        None => serve(engine, listener),
     };
     if let Err(e) = served {
         eprintln!("error: transport failed: {e}");

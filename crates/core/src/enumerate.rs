@@ -7,12 +7,12 @@
 //! stays up"), which excludes exactly the supersets of `V`. Distinct
 //! minimal vectors are incomparable, so this enumerates all of them.
 //!
-//! Enumeration honours [`QueryLimits`]: the whole run shares one
-//! anchored deadline, every violation search gets the per-solve conflict
-//! budget with the escalating retry policy, and a search stopped by a
-//! limit ends the run with an [*undecided*](ThreatSpace::undecided)
-//! space — the vectors found so far are all real, but the space may hold
-//! more.
+//! Enumeration honours [`QueryLimits`](crate::QueryLimits): the whole
+//! run shares one anchored deadline, every violation search gets the
+//! per-solve conflict budget with the escalating retry policy, and a
+//! search stopped by a limit ends the run with an
+//! [*undecided*](ThreatSpace::undecided) space — the vectors found so
+//! far are all real, but the space may hold more.
 
 use std::collections::HashSet;
 use std::time::Instant;
@@ -20,7 +20,7 @@ use std::time::Instant;
 use crate::encode::SearchOutcome;
 use crate::input::AnalysisInput;
 use crate::obs::{next_query_id, TraceEvent};
-use crate::spec::{Property, QueryLimits, ResiliencySpec};
+use crate::spec::{Property, QueryCtx, ResiliencySpec};
 use crate::threat::ThreatVector;
 use crate::verify::{Analyzer, Verdict};
 
@@ -33,7 +33,7 @@ pub struct ThreatSpace {
     /// resource limit on the underlying solver cut a search short —
     /// rather than exhausting the space.
     pub truncated: bool,
-    /// Whether a resource limit ([`QueryLimits`]) stopped a violation
+    /// Whether a resource limit ([`crate::QueryLimits`]) stopped a violation
     /// search before a verdict. An undecided space is always also
     /// [`truncated`](ThreatSpace::truncated); the converse is false (a
     /// cap-truncated space is decided as far as it goes). Soundness:
@@ -74,84 +74,32 @@ impl ThreatSpace {
 
 /// Enumerates all minimal threat vectors for a property within a budget.
 ///
-/// Blocking clauses are added permanently to the encoder, so this
-/// constructs a fresh [`Analyzer`] internally; `cap` bounds the number of
-/// vectors returned. Runs unbounded — see [`enumerate_threats_limited`]
-/// for the resource-bounded variant.
+/// Blocking clauses are added permanently to the solver, so this always
+/// builds a fresh [`Analyzer`] (tracing and certifying through `ctx`);
+/// `cap` bounds the number of vectors returned.
+///
+/// `ctx.limits`' per-query timeout is anchored once for the *whole*
+/// enumeration (one run = one query's wall-clock allowance); the
+/// conflict budget and retry policy apply to each violation search. A
+/// search stopped by a limit ends the run with `truncated` and
+/// `undecided` both set.
 pub fn enumerate_threats(
     input: &AnalysisInput,
     property: Property,
     spec: ResiliencySpec,
     cap: usize,
+    ctx: &QueryCtx,
 ) -> ThreatSpace {
-    enumerate_threats_limited(input, property, spec, cap, &QueryLimits::none())
-}
-
-/// Enumerates minimal threat vectors under resource limits.
-///
-/// The limits' per-query timeout is anchored once for the *whole*
-/// enumeration (one run = one query's wall-clock allowance); the
-/// conflict budget and retry policy apply to each violation search. A
-/// search stopped by a limit ends the run with `truncated` and
-/// `undecided` both set.
-pub fn enumerate_threats_limited(
-    input: &AnalysisInput,
-    property: Property,
-    spec: ResiliencySpec,
-    cap: usize,
-    limits: &QueryLimits,
-) -> ThreatSpace {
-    let mut analyzer = Analyzer::new(input);
-    enumerate_threats_with_limited(&mut analyzer, property, spec, cap, limits)
-}
-
-/// Enumeration over an existing analyzer.
-///
-/// The blocking clauses stay in the analyzer's solver afterwards: later
-/// queries on the same analyzer will not see the enumerated vectors (or
-/// their supersets) as threats. Use a dedicated analyzer unless that is
-/// intended. Runs unbounded — see [`enumerate_threats_with_limited`].
-pub fn enumerate_threats_with(
-    analyzer: &mut Analyzer<'_>,
-    property: Property,
-    spec: ResiliencySpec,
-    cap: usize,
-) -> ThreatSpace {
-    enumerate_threats_with_limited(analyzer, property, spec, cap, &QueryLimits::none())
-}
-
-/// Resource-bounded enumeration over an existing analyzer; see
-/// [`enumerate_threats_limited`] for the limit semantics and
-/// [`enumerate_threats_with`] for the blocking-clause caveat.
-pub fn enumerate_threats_with_limited(
-    analyzer: &mut Analyzer<'_>,
-    property: Property,
-    spec: ResiliencySpec,
-    cap: usize,
-    limits: &QueryLimits,
-) -> ThreatSpace {
-    // Snapshot the link endpoints up front: the input is borrowed from
-    // the analyzer (it owns it after a patch), so holding a reference
-    // across the `&mut` solve calls below is no longer possible.
-    let link_ends: Vec<(scadasim::DeviceId, scadasim::DeviceId)> = analyzer
-        .input()
-        .topology
-        .links()
-        .iter()
-        .map(|l| (l.a.min(l.b), l.a.max(l.b)))
-        .collect();
-    let obs = analyzer.obs().clone();
+    let mut analyzer = Analyzer::with_options(input, ctx.obs.clone(), ctx.certify.clone());
+    let links = input.topology.links();
+    let obs = &ctx.obs;
     let query = if obs.has_tracer() { next_query_id() } else { 0 };
     // One anchored deadline for the whole enumeration: the CLI's
     // `--timeout` bounds the run, not each of its (unboundedly many)
     // member searches.
-    let limits = limits.anchored(Instant::now());
+    let limits = ctx.limits.anchored(Instant::now());
     let mut vectors: Vec<ThreatVector> = Vec::new();
-    let finish = |analyzer: &mut Analyzer<'_>,
-                  vectors: Vec<ThreatVector>,
-                  truncated: bool,
-                  undecided: bool| {
-        QueryLimits::disarm(analyzer.encoder_mut().solver_mut());
+    let finish = |vectors: Vec<ThreatVector>, truncated: bool, undecided: bool| {
         obs.trace(|| TraceEvent::EnumDone {
             query,
             vectors: vectors.len(),
@@ -166,7 +114,7 @@ pub fn enumerate_threats_with_limited(
     };
     loop {
         if vectors.len() >= cap {
-            return finish(analyzer, vectors, true, false);
+            return finish(vectors, true, false);
         }
         // Each violation search is its own bounded query: fresh budget,
         // escalating retries, shared deadline.
@@ -188,7 +136,7 @@ pub fn enumerate_threats_with_limited(
                         && !limits.expired()
                         && !limits.interrupted();
                     if !retryable {
-                        return finish(analyzer, vectors, true, true);
+                        return finish(vectors, true, true);
                     }
                 }
             }
@@ -199,7 +147,7 @@ pub fn enumerate_threats_with_limited(
                 // The closing `unsat` is what certifies exhaustiveness:
                 // its proof must refute the final query's assumptions.
                 analyzer.certify_verdict(query, property, spec, &Verdict::Resilient, None);
-                return finish(analyzer, vectors, false, false);
+                return finish(vectors, false, false);
             }
         };
         let failed: HashSet<_> = violation.devices.into_iter().collect();
@@ -224,7 +172,11 @@ pub fn enumerate_threats_with_limited(
         let minimal_links: Vec<usize> = failed_link_idx
             .iter()
             .copied()
-            .filter(|&li| minimal.links.binary_search(&link_ends[li]).is_ok())
+            .filter(|&li| {
+                let link = &links[li];
+                let ends = (link.a.min(link.b), link.a.max(link.b));
+                minimal.links.binary_search(&ends).is_ok()
+            })
             .collect();
         let mut clause: Vec<satcore::Lit> = Vec::with_capacity(minimal.len());
         {
@@ -246,7 +198,7 @@ pub fn enumerate_threats_with_limited(
             // The empty vector violates the property: the system is
             // broken with zero failures and the space is just {∅}.
             vectors.push(minimal);
-            return finish(analyzer, vectors, false, false);
+            return finish(vectors, false, false);
         }
         vectors.push(minimal);
     }

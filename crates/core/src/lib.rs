@@ -78,27 +78,20 @@ mod verify;
 
 pub use certify::{CertFault, Certificate, CertificationLog, CertifyOptions};
 pub use encode::{DeltaStats, SearchOutcome};
-pub use enumerate::{
-    enumerate_threats, enumerate_threats_limited, enumerate_threats_with,
-    enumerate_threats_with_limited, ThreatSpace,
-};
+pub use enumerate::{enumerate_threats, ThreatSpace};
 pub use input::AnalysisInput;
 pub use maxres::BudgetAxis;
 pub use obs::{JsonlTracer, MetricsRegistry, Obs, TraceEvent, TraceSink};
-pub use parallel::{
-    par_max_resiliency, par_max_resiliency_certified, par_max_resiliency_limited,
-    par_max_resiliency_observed, par_resiliency_frontier, par_resiliency_frontier_certified,
-    par_resiliency_frontier_limited, par_resiliency_frontier_observed, verify_batch,
-    verify_batch_certified, verify_batch_limited, verify_batch_observed,
-};
+pub use parallel::{par_max_resiliency, verify_batch};
 pub use patch::{ModelPatch, PatchError};
 pub use security_index::{SecurityIndexAnalyzer, SecurityIndexDistribution, SecurityIndexReport};
 pub use service::{advance_model_hash, model_hash, ModelHash};
-pub use spec::{parse_duration, FailureBudget, Property, QueryLimits, ResiliencySpec, RetryPolicy};
+pub use spec::{
+    parse_duration, FailureBudget, Property, QueryCtx, QueryLimits, ResiliencySpec, RetryPolicy,
+};
 pub use synthesis::{
-    apply_upgrades, synthesize_upgrades, synthesize_upgrades_certified,
-    synthesize_upgrades_observed, upgradable_hops, SynthesisOptions, SynthesisResult, Upgrade,
-    UpgradeSuite,
+    apply_upgrades, synthesize_upgrades, upgradable_hops, SynthesisOptions, SynthesisResult,
+    Upgrade, UpgradeSuite,
 };
 pub use threat::ThreatVector;
 pub use verify::{Analyzer, Verdict, VerificationReport};

@@ -5,7 +5,7 @@
 //! encoding — budgets are assumptions on unary counter outputs, so each
 //! step is a new assumption set, not a new model.
 
-use crate::spec::{Property, QueryLimits, ResiliencySpec};
+use crate::spec::{Property, ResiliencySpec};
 use crate::verify::Analyzer;
 
 /// Which failure dimension to maximize.
@@ -44,32 +44,21 @@ impl Analyzer<'_> {
     /// `k`-resilient, or `None` if it already fails with zero failures.
     ///
     /// `r` is the corrupted-measurement tolerance (only meaningful for
-    /// bad-data detectability).
+    /// bad-data detectability). Under the analyzer's limits
+    /// ([`Analyzer::set_limits`]) a budget whose query comes back
+    /// `Unknown` counts as *not proven resilient* and stops the sweep,
+    /// so the answer is a sound lower bound on the true maximum (exact
+    /// whenever no query was cut short).
     pub fn max_resiliency(
         &mut self,
         property: Property,
         axis: BudgetAxis,
         r: usize,
     ) -> Option<usize> {
-        self.max_resiliency_limited(property, axis, r, &QueryLimits::none())
-    }
-
-    /// [`Analyzer::max_resiliency`] under resource limits. A budget
-    /// whose query comes back `Unknown` counts as *not proven resilient*
-    /// and stops the sweep, so the answer is a sound lower bound on the
-    /// true maximum (exact whenever no query was cut short).
-    pub fn max_resiliency_limited(
-        &mut self,
-        property: Property,
-        axis: BudgetAxis,
-        r: usize,
-        limits: &QueryLimits,
-    ) -> Option<usize> {
         let limit = axis.limit(self.input());
         let mut max: Option<usize> = None;
         for k in 0..=limit {
-            let verdict = self.verify_limited(property, axis.spec(k, r), limits);
-            if verdict.is_resilient() {
+            if self.verify(property, axis.spec(k, r)).is_resilient() {
                 max = Some(k);
             } else {
                 break;
@@ -81,23 +70,13 @@ impl Analyzer<'_> {
     /// The full `(k1, k2)` resiliency frontier: for each IED budget `k1`
     /// from 0 up, the largest `k2` keeping the system resilient (`None`
     /// once no `k2` works). Stops at the first `k1` where even `k2 = 0`
-    /// fails.
+    /// fails. Under limits, an `Unknown` verdict ends a row like a
+    /// threat — each row's `k2` is a sound lower bound on the true
+    /// frontier.
     pub fn resiliency_frontier(
         &mut self,
         property: Property,
         r: usize,
-    ) -> Vec<(usize, Option<usize>)> {
-        self.resiliency_frontier_limited(property, r, &QueryLimits::none())
-    }
-
-    /// [`Analyzer::resiliency_frontier`] under resource limits. Within a
-    /// row, an `Unknown` verdict ends the row like a threat — each row's
-    /// `k2` is a sound lower bound on the true frontier.
-    pub fn resiliency_frontier_limited(
-        &mut self,
-        property: Property,
-        r: usize,
-        limits: &QueryLimits,
     ) -> Vec<(usize, Option<usize>)> {
         let max_ieds = self.input().topology.ieds().count();
         let max_rtus = self.input().topology.rtus().count();
@@ -106,7 +85,7 @@ impl Analyzer<'_> {
             let mut best: Option<usize> = None;
             for k2 in 0..=max_rtus {
                 let spec = ResiliencySpec::split(k1, k2).with_corrupted(r);
-                if self.verify_limited(property, spec, limits).is_resilient() {
+                if self.verify(property, spec).is_resilient() {
                     best = Some(k2);
                 } else {
                     break;

@@ -20,9 +20,10 @@
 //!   both binaries) or folded into the experiment CSVs.
 //!
 //! [`Obs`] bundles the two and is threaded through the verification
-//! engine ([`crate::Analyzer::with_obs`]), the parallel fleet
-//! (`*_observed` in [`crate::parallel`]), threat enumeration, and
-//! synthesis. `Obs::none()` is the no-op default everywhere.
+//! engine ([`crate::Analyzer::with_options`]) and, as the `obs` field of
+//! a [`crate::QueryCtx`], through the parallel fleet
+//! ([`crate::parallel`]), threat enumeration, and synthesis.
+//! `Obs::none()` is the no-op default everywhere.
 
 use std::collections::BTreeMap;
 use std::fmt;

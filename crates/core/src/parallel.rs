@@ -1,7 +1,7 @@
 //! The parallel verification engine.
 //!
-//! The sweeps this analyzer runs — batches of independent queries,
-//! maximum-resiliency searches, `(k1, k2)` frontiers — decompose into
+//! The sweeps this analyzer runs — batches of independent queries and
+//! maximum-resiliency searches — decompose into
 //! per-query subproblems that share no solver state, exactly the
 //! decomposition Hendrickx et al. and Sou et al. exploit to make
 //! security-index computations tractable at IEEE-118 scale: *the
@@ -31,24 +31,24 @@
 //! drained. One poisoned query never deadlocks the fleet or masks its
 //! own root cause behind secondary "poisoned mutex" panics.
 //!
-//! **Degradation.** The `_limited` variants thread [`QueryLimits`]
-//! through every query. In sweeps, an `Unknown` verdict is conservatively
-//! treated as *not proven resilient*, so bounded sweep answers are sound
-//! lower bounds on the true resiliency (see DESIGN.md, "Degradation
-//! semantics").
+//! **Degradation.** Every entry point takes a [`QueryCtx`], whose
+//! [`QueryLimits`] bound each query. In sweeps, an `Unknown` verdict is
+//! conservatively treated as *not proven resilient*, so bounded sweep
+//! answers are sound lower bounds on the true resiliency (see
+//! DESIGN.md, "Degradation semantics").
 //!
 //! # Examples
 //!
 //! ```
 //! use scada_analyzer::casestudy::five_bus_case_study;
 //! use scada_analyzer::parallel::verify_batch;
-//! use scada_analyzer::{Property, ResiliencySpec};
+//! use scada_analyzer::{Property, QueryCtx, ResiliencySpec};
 //!
 //! let input = five_bus_case_study();
 //! let queries: Vec<_> = (0..3)
 //!     .map(|k| (Property::Observability, ResiliencySpec::total(k)))
 //!     .collect();
-//! let reports = verify_batch(&input, &queries, 2);
+//! let reports = verify_batch(&input, &queries, 2, &QueryCtx::default());
 //! assert_eq!(reports.len(), 3);
 //! assert!(reports[0].verdict.is_resilient());
 //! ```
@@ -57,56 +57,34 @@ use std::sync::atomic::AtomicBool;
 use std::sync::mpsc;
 use std::sync::Arc;
 
-use crate::certify::CertifyOptions;
 use crate::input::AnalysisInput;
 use crate::maxres::BudgetAxis;
 use crate::obs::{Obs, TraceEvent};
 use crate::pool::{effective_jobs, run_workers_guarded, CancelBound, FleetGuard, Injector};
-use crate::spec::{Property, QueryLimits, ResiliencySpec};
+use crate::spec::{Property, QueryCtx, QueryLimits, ResiliencySpec};
 use crate::verify::{Analyzer, VerificationReport};
 
 /// Applies `f` to every item on `jobs` workers, returning results in
 /// input order. `jobs = 0` uses all available parallelism; `jobs = 1`
 /// runs inline (the serial baseline).
 ///
-/// A panicking call is isolated: siblings finish (or are skipped), then
-/// the first panic is re-raised here with its original payload.
+/// `f` also receives the fleet's shared cancellation flag, for threading
+/// into [`QueryLimits::with_interrupt`] so that a panic in one job
+/// interrupts sibling solves *in flight* instead of merely skipping
+/// queued ones. Each worker reports its jobs run through `obs` when it
+/// drains, and an observed fleet cancellation is traced; per-query
+/// events are the closure's business.
 ///
 /// This is the generic fan-out primitive under [`verify_batch`]; the
 /// bench harness reuses it to spread whole workloads across cores.
-pub fn par_map<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_cancellable(items, jobs, |index, item, _| f(index, item))
-}
-
-/// [`par_map`] with fleet cancellation: `f` additionally receives the
-/// fleet's shared cancellation flag, for threading into
-/// [`QueryLimits::with_interrupt`] so that a panic in one job interrupts
-/// sibling solves *in flight* instead of merely skipping queued ones.
 ///
 /// # Panics
 ///
-/// Re-raises the first job panic after the whole fleet has drained.
-/// (With a panicking job the fleet is cancelled, so some results never
-/// materialize; they are discarded along with the fleet.)
-pub fn par_map_cancellable<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T, &Arc<AtomicBool>) -> R + Sync,
-{
-    par_map_observed(items, jobs, &Obs::none(), f)
-}
-
-/// [`par_map_cancellable`] with fleet observability: each worker reports
-/// its jobs run/skipped through `obs` when it drains, and an observed
-/// fleet cancellation is traced. Per-query events are the closure's
-/// business (thread an [`Obs`] into the analyzers it builds).
-pub fn par_map_observed<T, R, F>(items: &[T], jobs: usize, obs: &Obs, f: F) -> Vec<R>
+/// Re-raises the first job panic, with its original payload, after the
+/// whole fleet has drained. (With a panicking job the fleet is
+/// cancelled, so some results never materialize; they are discarded
+/// along with the fleet.)
+pub fn par_map<T, R, F>(items: &[T], jobs: usize, obs: &Obs, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -164,76 +142,46 @@ fn fleet_limits(limits: &QueryLimits, cancel: &Arc<AtomicBool>) -> QueryLimits {
     }
 }
 
+/// A worker's analyzer: traced and certified through `ctx`, bounded by
+/// its limits plus the fleet's cancellation flag.
+fn fleet_analyzer<'a>(
+    input: &'a AnalysisInput,
+    ctx: &QueryCtx,
+    cancel: &Arc<AtomicBool>,
+) -> Analyzer<'a> {
+    let mut analyzer = Analyzer::with_options(input, ctx.obs.clone(), ctx.certify.clone());
+    analyzer.set_limits(fleet_limits(&ctx.limits, cancel));
+    analyzer
+}
+
 /// Verifies a batch of independent queries against one input across
 /// `jobs` workers, returning reports in input order.
 ///
 /// Every query is solved on a fresh model, so the reports (verdicts
 /// *and* threat vectors) are identical to running each query serially
 /// from scratch — only the wall-clock changes with `jobs`.
+///
+/// Each query gets its own copy of `ctx.limits` (deadline, conflict
+/// budget, retry policy), and — unless the caller installed an
+/// interrupt flag of their own — the fleet's cancellation flag, so a
+/// panicking sibling cancels in-flight solves. Queries stopped by a
+/// limit report [`crate::Verdict::Unknown`]; the rest of the batch is
+/// unaffected. Fleet events go through `ctx.obs`, and with
+/// `ctx.certify` every verdict is independently re-checked (see
+/// [`crate::certify`]), all workers tallying into one shared log.
 pub fn verify_batch(
     input: &AnalysisInput,
     queries: &[(Property, ResiliencySpec)],
     jobs: usize,
+    ctx: &QueryCtx,
 ) -> Vec<VerificationReport> {
-    verify_batch_limited(input, queries, jobs, &QueryLimits::none())
-}
-
-/// [`verify_batch`] under resource limits: each query gets its own copy
-/// of `limits` (deadline, conflict budget, retry policy), and — unless
-/// the caller installed an interrupt flag of their own — the fleet's
-/// cancellation flag, so a panicking sibling cancels in-flight solves.
-/// Queries stopped by a limit report [`crate::Verdict::Unknown`]; the
-/// rest of the batch is unaffected.
-pub fn verify_batch_limited(
-    input: &AnalysisInput,
-    queries: &[(Property, ResiliencySpec)],
-    jobs: usize,
-    limits: &QueryLimits,
-) -> Vec<VerificationReport> {
-    verify_batch_observed(input, queries, jobs, limits, &Obs::none())
-}
-
-/// [`verify_batch_limited`] with observability: fleet events and
-/// per-worker drain reports through `obs`, and every per-query analyzer
-/// carries `obs` so query-lifecycle events flow too.
-pub fn verify_batch_observed(
-    input: &AnalysisInput,
-    queries: &[(Property, ResiliencySpec)],
-    jobs: usize,
-    limits: &QueryLimits,
-    obs: &Obs,
-) -> Vec<VerificationReport> {
-    verify_batch_certified(
-        input,
-        queries,
-        jobs,
-        limits,
-        obs,
-        &CertifyOptions::default(),
-    )
-}
-
-/// [`verify_batch_observed`] with verdict certification: every worker's
-/// analyzer independently re-checks its verdicts (see [`crate::certify`])
-/// and the certificates land on the returned reports and in
-/// `certify.log` (shared across the fleet — workers tally into one log).
-pub fn verify_batch_certified(
-    input: &AnalysisInput,
-    queries: &[(Property, ResiliencySpec)],
-    jobs: usize,
-    limits: &QueryLimits,
-    obs: &Obs,
-    certify: &CertifyOptions,
-) -> Vec<VerificationReport> {
-    obs.trace(|| TraceEvent::FleetStart {
+    ctx.obs.trace(|| TraceEvent::FleetStart {
         label: "verify_batch",
         jobs: effective_jobs(jobs),
         items: queries.len(),
     });
-    par_map_observed(queries, jobs, obs, |_, &(property, spec), cancel| {
-        let per_query = fleet_limits(limits, cancel);
-        Analyzer::with_options(input, obs.clone(), certify.clone())
-            .verify_with_report_limited(property, spec, &per_query)
+    par_map(queries, jobs, &ctx.obs, |_, &(property, spec), cancel| {
+        fleet_analyzer(input, ctx, cancel).verify_with_report(property, spec)
     })
 }
 
@@ -247,71 +195,20 @@ pub fn verify_batch_certified(
 /// scan's for *any* property behaviour (not only monotone ones): it is
 /// one below the smallest non-resilient budget, with every smaller
 /// budget actually verified resilient.
+///
+/// Under `ctx.limits`, a budget whose query comes back `Unknown` counts
+/// as *not proven resilient* — it stops the sweep exactly like a threat
+/// — so the answer is a sound lower bound on the true maximum
+/// resiliency (and equals it whenever no query was cut short).
 pub fn par_max_resiliency(
     input: &AnalysisInput,
     property: Property,
     axis: BudgetAxis,
     r: usize,
     jobs: usize,
+    ctx: &QueryCtx,
 ) -> Option<usize> {
-    par_max_resiliency_limited(input, property, axis, r, jobs, &QueryLimits::none())
-}
-
-/// [`par_max_resiliency`] under resource limits. A budget whose query
-/// comes back `Unknown` counts as *not proven resilient* — it stops the
-/// sweep exactly like a threat — so the answer is a sound lower bound
-/// on the true maximum resiliency (and equals it whenever no query was
-/// cut short).
-pub fn par_max_resiliency_limited(
-    input: &AnalysisInput,
-    property: Property,
-    axis: BudgetAxis,
-    r: usize,
-    jobs: usize,
-    limits: &QueryLimits,
-) -> Option<usize> {
-    par_max_resiliency_observed(input, property, axis, r, jobs, limits, &Obs::none())
-}
-
-/// [`par_max_resiliency_limited`] with observability: fleet events,
-/// cancel-bound cuts, and per-worker drain reports through `obs`, with
-/// query-lifecycle events from every worker's analyzer.
-#[allow(clippy::too_many_arguments)]
-pub fn par_max_resiliency_observed(
-    input: &AnalysisInput,
-    property: Property,
-    axis: BudgetAxis,
-    r: usize,
-    jobs: usize,
-    limits: &QueryLimits,
-    obs: &Obs,
-) -> Option<usize> {
-    par_max_resiliency_certified(
-        input,
-        property,
-        axis,
-        r,
-        jobs,
-        limits,
-        obs,
-        &CertifyOptions::default(),
-    )
-}
-
-/// [`par_max_resiliency_observed`] with verdict certification: every
-/// worker runs a certifying analyzer; certificates tally into
-/// `certify.log`.
-#[allow(clippy::too_many_arguments)]
-pub fn par_max_resiliency_certified(
-    input: &AnalysisInput,
-    property: Property,
-    axis: BudgetAxis,
-    r: usize,
-    jobs: usize,
-    limits: &QueryLimits,
-    obs: &Obs,
-    certify: &CertifyOptions,
-) -> Option<usize> {
+    let obs = &ctx.obs;
     let jobs = effective_jobs(jobs);
     let limit = axis.limit(input);
     obs.trace(|| TraceEvent::FleetStart {
@@ -324,7 +221,7 @@ pub fn par_max_resiliency_certified(
     let guard = FleetGuard::new();
     let cancel = guard.cancel_flag();
     run_workers_guarded(jobs, &guard, |worker| {
-        let mut analyzer = Analyzer::with_options(input, obs.clone(), certify.clone());
+        let mut analyzer = fleet_analyzer(input, ctx, &cancel);
         let mut ran: u64 = 0;
         let mut skipped: u64 = 0;
         while let Some(k) = injector.steal() {
@@ -336,10 +233,7 @@ pub fn par_max_resiliency_certified(
                 skipped += 1;
                 continue;
             }
-            let per_query = fleet_limits(limits, &cancel);
-            let Some(verdict) =
-                guard.run_job(|| analyzer.verify_limited(property, axis.spec(k, r), &per_query))
-            else {
+            let Some(verdict) = guard.run_job(|| analyzer.verify(property, axis.spec(k, r))) else {
                 // This worker's analyzer may be mid-query after a panic;
                 // stop using it. The fleet is cancelled either way.
                 break;
@@ -365,148 +259,6 @@ pub fn par_max_resiliency_certified(
         usize::MAX => Some(limit),
         first_failing => Some(first_failing - 1),
     }
-}
-
-/// Parallel [`Analyzer::resiliency_frontier`]: for each IED budget `k1`
-/// from 0 up, the largest RTU budget `k2` keeping the system resilient
-/// (`None` once no `k2` works), ending at the first `k1` whose row has
-/// no resilient `k2` — byte-for-byte the serial frontier.
-///
-/// Rows are the unit of work: each worker sweeps whole `k1` rows with
-/// its own incremental analyzer, and the first row proven hopeless
-/// (`best = None`) early-cancels all higher rows.
-pub fn par_resiliency_frontier(
-    input: &AnalysisInput,
-    property: Property,
-    r: usize,
-    jobs: usize,
-) -> Vec<(usize, Option<usize>)> {
-    par_resiliency_frontier_limited(input, property, r, jobs, &QueryLimits::none())
-}
-
-/// [`par_resiliency_frontier`] under resource limits. Within a row, an
-/// `Unknown` verdict ends the row like a threat (the reported `k2` is a
-/// sound lower bound); a row whose `k2 = 0` query is `Unknown` counts as
-/// hopeless and ends the frontier.
-pub fn par_resiliency_frontier_limited(
-    input: &AnalysisInput,
-    property: Property,
-    r: usize,
-    jobs: usize,
-    limits: &QueryLimits,
-) -> Vec<(usize, Option<usize>)> {
-    par_resiliency_frontier_observed(input, property, r, jobs, limits, &Obs::none())
-}
-
-/// [`par_resiliency_frontier_limited`] with observability: fleet events,
-/// cutoff cuts, and per-worker drain reports through `obs`, with
-/// query-lifecycle events from every worker's analyzer.
-pub fn par_resiliency_frontier_observed(
-    input: &AnalysisInput,
-    property: Property,
-    r: usize,
-    jobs: usize,
-    limits: &QueryLimits,
-    obs: &Obs,
-) -> Vec<(usize, Option<usize>)> {
-    par_resiliency_frontier_certified(
-        input,
-        property,
-        r,
-        jobs,
-        limits,
-        obs,
-        &CertifyOptions::default(),
-    )
-}
-
-/// [`par_resiliency_frontier_observed`] with verdict certification:
-/// every worker runs a certifying analyzer; certificates tally into
-/// `certify.log`.
-#[allow(clippy::too_many_arguments)]
-pub fn par_resiliency_frontier_certified(
-    input: &AnalysisInput,
-    property: Property,
-    r: usize,
-    jobs: usize,
-    limits: &QueryLimits,
-    obs: &Obs,
-    certify: &CertifyOptions,
-) -> Vec<(usize, Option<usize>)> {
-    let jobs = effective_jobs(jobs);
-    let max_ieds = input.topology.ieds().count();
-    let max_rtus = input.topology.rtus().count();
-    obs.trace(|| TraceEvent::FleetStart {
-        label: "resiliency_frontier",
-        jobs,
-        items: max_ieds + 1,
-    });
-    let injector = Injector::new(0..=max_ieds);
-    // The smallest k1 whose row came out all-threat; rows above it are
-    // outside the serial output and need not be computed.
-    let cutoff = CancelBound::unbounded();
-    let guard = FleetGuard::new();
-    let cancel = guard.cancel_flag();
-    let (sender, receiver) = mpsc::channel::<(usize, Option<usize>)>();
-    run_workers_guarded(jobs, &guard, |worker| {
-        let sender = sender.clone();
-        let mut analyzer = Analyzer::with_options(input, obs.clone(), certify.clone());
-        let mut ran: u64 = 0;
-        let mut skipped: u64 = 0;
-        while let Some(k1) = injector.steal() {
-            if guard.cancelled() {
-                obs.trace(|| TraceEvent::Interrupted { worker });
-                break;
-            }
-            if k1 > cutoff.get() {
-                skipped += 1;
-                continue;
-            }
-            let row = guard.run_job(|| {
-                let mut best: Option<usize> = None;
-                for k2 in 0..=max_rtus {
-                    let spec = ResiliencySpec::split(k1, k2).with_corrupted(r);
-                    let per_query = fleet_limits(limits, &cancel);
-                    if analyzer
-                        .verify_limited(property, spec, &per_query)
-                        .is_resilient()
-                    {
-                        best = Some(k2);
-                    } else {
-                        break;
-                    }
-                }
-                best
-            });
-            let Some(best) = row else { break };
-            ran += 1;
-            if best.is_none() {
-                cutoff.lower_to(k1);
-                obs.trace(|| TraceEvent::CancelCut { worker, bound: k1 });
-                obs.count("cancel_cuts", 1);
-            }
-            sender.send((k1, best)).expect("frontier receiver dropped");
-        }
-        obs.trace(|| TraceEvent::WorkerDone {
-            worker,
-            ran,
-            skipped,
-        });
-        obs.count("fleet_jobs", ran);
-        obs.count("fleet_skipped", skipped);
-    });
-    drop(sender);
-    guard.rethrow();
-    let mut rows: Vec<Option<Option<usize>>> = vec![None; max_ieds + 1];
-    for (k1, best) in receiver {
-        rows[k1] = Some(best);
-    }
-    // Keep rows up to and including the first all-threat one, exactly
-    // like the serial loop's early exit.
-    let end = cutoff.get().min(max_ieds);
-    (0..=end)
-        .map(|k1| (k1, rows[k1].expect("row below cutoff not computed")))
-        .collect()
 }
 
 #[cfg(test)]
@@ -535,7 +287,7 @@ mod tests {
     fn par_map_preserves_order() {
         let items: Vec<usize> = (0..257).collect();
         for jobs in [1, 2, 8] {
-            let doubled = par_map(&items, jobs, |i, &x| {
+            let doubled = par_map(&items, jobs, &Obs::none(), |i, &x, _| {
                 assert_eq!(i, x);
                 x * 2
             });
@@ -552,7 +304,7 @@ mod tests {
             .map(|&(p, s)| Analyzer::new(&input).verify_with_report(p, s))
             .collect();
         for jobs in [1, 2, 8] {
-            let parallel = verify_batch(&input, &queries, jobs);
+            let parallel = verify_batch(&input, &queries, jobs, &QueryCtx::default());
             assert_eq!(parallel.len(), serial.len());
             for (p, s) in parallel.iter().zip(&serial) {
                 assert_eq!(p.property, s.property);
@@ -574,7 +326,7 @@ mod tests {
                 let serial = Analyzer::new(&input).max_resiliency(property, axis, 1);
                 for jobs in [1, 2, 8] {
                     assert_eq!(
-                        par_max_resiliency(&input, property, axis, 1, jobs),
+                        par_max_resiliency(&input, property, axis, 1, jobs, &QueryCtx::default()),
                         serial,
                         "{property} along {axis:?} with jobs={jobs}"
                     );
@@ -584,25 +336,10 @@ mod tests {
     }
 
     #[test]
-    fn frontier_matches_serial() {
-        let input = five_bus_case_study();
-        for property in [Property::Observability, Property::SecuredObservability] {
-            let serial = Analyzer::new(&input).resiliency_frontier(property, 1);
-            for jobs in [1, 2, 8] {
-                assert_eq!(
-                    par_resiliency_frontier(&input, property, 1, jobs),
-                    serial,
-                    "{property} with jobs={jobs}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn zero_jobs_means_available_parallelism() {
         let input = five_bus_case_study();
         let queries = [(Property::Observability, ResiliencySpec::total(1))];
-        let reports = verify_batch(&input, &queries, 0);
+        let reports = verify_batch(&input, &queries, 0, &QueryCtx::default());
         assert!(reports[0].verdict.is_resilient());
     }
 }

@@ -1,7 +1,8 @@
 //! A readiness-driven TCP front-end: many connections, few threads.
 //!
-//! The thread-per-connection transport ([`serve_tcp`]) spends a thread
-//! per client to do almost nothing — block on a read, hand one line to
+//! The thread-per-connection transport ([`serve_tcp`], kept only for
+//! platforms this module does not compile on) spends a thread per
+//! client to do almost nothing — block on a read, hand one line to
 //! the engine, write one line back. This module replaces it with a
 //! single event-loop thread over non-blocking sockets (see [`poll`] for
 //! the readiness primitive) plus a small executor pool that runs the

@@ -27,12 +27,12 @@ use std::time::{Duration, Instant};
 
 use crate::casestudy::five_bus_case_study;
 use crate::certify::{Certificate, CertifyOptions};
-use crate::enumerate::enumerate_threats_with_limited;
+use crate::enumerate::enumerate_threats;
 use crate::input::AnalysisInput;
 use crate::obs::{MetricsRegistry, Obs, TraceEvent};
 use crate::patch::ModelPatch;
 use crate::security_index::SecurityIndexAnalyzer;
-use crate::verify::Analyzer;
+use crate::spec::QueryCtx;
 
 use super::cache::{CacheKey, QueryShape, VerdictCache, DEFAULT_CACHE_CAPACITY};
 use super::hash::{advance_model_hash, ModelHash};
@@ -308,7 +308,8 @@ impl Engine {
                 };
                 let query_limits = limits.to_limits();
                 let query: SessionQuery = Box::new(move |analyzer| {
-                    let report = analyzer.verify_with_report_limited(property, spec, &query_limits);
+                    analyzer.set_limits(query_limits);
+                    let report = analyzer.verify_with_report(property, spec);
                     QueryReply::Verify {
                         verdict: report.verdict,
                         conflicts: report.conflicts,
@@ -333,7 +334,8 @@ impl Engine {
                 };
                 let query_limits = limits.to_limits();
                 let query: SessionQuery = Box::new(move |analyzer| {
-                    let max = analyzer.max_resiliency_limited(property, axis, r, &query_limits);
+                    analyzer.set_limits(query_limits);
+                    let max = analyzer.max_resiliency(property, axis, r);
                     QueryReply::MaxRes { max }
                 });
                 self.run_query("maxres", model, key, query, start)
@@ -355,23 +357,17 @@ impl Engine {
                         cap,
                     },
                 };
-                let query_limits = limits.to_limits();
-                let obs = self.obs.clone();
-                let certify = self.certify.clone();
+                let ctx = QueryCtx {
+                    limits: limits.to_limits(),
+                    obs: self.obs.clone(),
+                    certify: self.certify.clone(),
+                };
                 let query: SessionQuery = Box::new(move |analyzer| {
-                    // Enumeration adds permanent blocking clauses; run it
-                    // on a throwaway analyzer so the warm session's model
-                    // stays an exact encoding of the (possibly patched)
-                    // input.
-                    let input = analyzer.input().clone();
-                    let mut fresh = Analyzer::owning(input, obs, certify);
-                    let space = enumerate_threats_with_limited(
-                        &mut fresh,
-                        property,
-                        spec,
-                        cap,
-                        &query_limits,
-                    );
+                    // Enumeration builds its own analyzer (its blocking
+                    // clauses are permanent), so the warm session's
+                    // model stays an exact encoding of the (possibly
+                    // patched) input.
+                    let space = enumerate_threats(analyzer.input(), property, spec, cap, &ctx);
                     QueryReply::Enumerate {
                         vectors: space.vectors,
                         truncated: space.truncated,
@@ -1222,6 +1218,10 @@ fn serve_connection<H: LineHandler>(engine: &H, stream: TcpStream) -> io::Result
 /// Serves the engine over a TCP listener until a `shutdown` request,
 /// then joins every connection and drains the engine. One thread per
 /// connection; requests on a connection are answered in order.
+///
+/// This is the TCP transport for non-unix platforms, where the
+/// readiness event loop (`serve_event_loop`) does not compile; on unix,
+/// `scadad --listen` always runs the event loop.
 pub fn serve_tcp<H: LineHandler>(engine: Arc<H>, listener: TcpListener) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();

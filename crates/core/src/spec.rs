@@ -5,6 +5,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::certify::CertifyOptions;
+use crate::obs::Obs;
+
 /// The property whose resiliency is being verified.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Property {
@@ -291,6 +294,44 @@ impl QueryLimits {
         solver.set_deadline(None);
         solver.set_interrupt(None);
     }
+}
+
+/// How to run a query, as opposed to *what* to ask: the resource
+/// limits, the observability handle, and the certification policy.
+///
+/// Every query family takes one of these — [`crate::verify_batch`],
+/// [`crate::par_max_resiliency`], [`crate::enumerate_threats`],
+/// [`crate::synthesize_upgrades`] — and the default runs unbounded,
+/// untraced and uncertified.
+///
+/// # Examples
+///
+/// ```
+/// use scada_analyzer::casestudy::five_bus_case_study;
+/// use scada_analyzer::{enumerate_threats, Property, QueryCtx, QueryLimits, ResiliencySpec};
+///
+/// let input = five_bus_case_study();
+/// let ctx = QueryCtx {
+///     limits: QueryLimits::none().with_conflict_budget(10_000),
+///     ..QueryCtx::default()
+/// };
+/// let space = enumerate_threats(
+///     &input,
+///     Property::Observability,
+///     ResiliencySpec::split(2, 1),
+///     64,
+///     &ctx,
+/// );
+/// assert_eq!(space.len(), 9);
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct QueryCtx {
+    /// Resource limits; see [`QueryLimits`].
+    pub limits: QueryLimits,
+    /// Trace events and metrics; see [`Obs`].
+    pub obs: Obs,
+    /// Verdict certification; see [`CertifyOptions`].
+    pub certify: CertifyOptions,
 }
 
 /// Parses a human-friendly duration: `150ms`, `5s`, `2m`, or a bare

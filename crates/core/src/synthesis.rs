@@ -16,13 +16,14 @@
 //! violating cannot succeed, and vectors are re-checked with the cheap
 //! direct evaluator before paying for SAT).
 
+use std::time::Instant;
+
 use scadasim::paths::forwarding_paths;
 use scadasim::{CryptoAlgorithm, CryptoProfile, DeviceId, DeviceKind};
 
-use crate::certify::CertifyOptions;
 use crate::input::AnalysisInput;
-use crate::obs::{Obs, TraceEvent};
-use crate::spec::{Property, ResiliencySpec};
+use crate::obs::TraceEvent;
+use crate::spec::{Property, QueryCtx, ResiliencySpec};
 use crate::verify::{Analyzer, Verdict};
 
 /// A hop (host pair) whose security should be upgraded.
@@ -40,6 +41,11 @@ pub enum SynthesisResult {
     /// topological (e.g. a single RTU carries too much), not
     /// cryptographic.
     Infeasible,
+    /// A resource limit left a query of the search (the initial check
+    /// or a candidate's) undecided, so the search claims nothing: not
+    /// that the system is already resilient, not that a returned set
+    /// would be minimal, and never that no upgrade set exists.
+    Undecided,
 }
 
 /// Options for the synthesis search.
@@ -131,6 +137,15 @@ pub fn apply_upgrades(
 /// Synthesizes a cardinality-minimal upgrade set making `property`
 /// `spec`-resilient.
 ///
+/// Every verification query of the search — the initial resiliency
+/// check and each candidate's — runs through `ctx`: traced through
+/// `ctx.obs` (each candidate tried is `pruned`/`threat`/`undecided`/
+/// `repaired`, plus a final outcome event), certified per
+/// `ctx.certify`, and bounded by `ctx.limits`. The limits' timeout is
+/// anchored once for the *whole* search; the conflict budget and retry
+/// policy apply to each query. The first query a limit leaves
+/// undecided ends the search with [`SynthesisResult::Undecided`].
+///
 /// # Panics
 ///
 /// Panics if called for [`Property::Observability`] — plain observability
@@ -140,49 +155,15 @@ pub fn synthesize_upgrades(
     property: Property,
     spec: ResiliencySpec,
     options: &SynthesisOptions,
+    ctx: &QueryCtx,
 ) -> SynthesisResult {
-    synthesize_upgrades_observed(input, property, spec, options, &Obs::none())
-}
-
-/// [`synthesize_upgrades`] with observability: every candidate tried is
-/// traced through `obs` (`pruned`/`threat`/`undecided`/`repaired`), as
-/// are the verification queries underneath, plus a final outcome event.
-pub fn synthesize_upgrades_observed(
-    input: &AnalysisInput,
-    property: Property,
-    spec: ResiliencySpec,
-    options: &SynthesisOptions,
-    obs: &Obs,
-) -> SynthesisResult {
-    synthesize_upgrades_certified(
-        input,
-        property,
-        spec,
-        options,
-        obs,
-        &CertifyOptions::default(),
-    )
-}
-
-/// [`synthesize_upgrades_observed`] with verdict certification: every
-/// verification query underneath the search — the initial resiliency
-/// check and each candidate's — runs on a certifying analyzer, so the
-/// repaired verdict synthesis returns carries an independently checked
-/// proof (see [`crate::certify`]).
-pub fn synthesize_upgrades_certified(
-    input: &AnalysisInput,
-    property: Property,
-    spec: ResiliencySpec,
-    options: &SynthesisOptions,
-    obs: &Obs,
-    certify: &CertifyOptions,
-) -> SynthesisResult {
-    let result = synthesize_inner(input, property, spec, options, obs, certify);
-    obs.trace(|| TraceEvent::SynthDone {
+    let result = synthesize_inner(input, property, spec, options, ctx);
+    ctx.obs.trace(|| TraceEvent::SynthDone {
         result: match &result {
             SynthesisResult::AlreadyResilient => "already_resilient",
             SynthesisResult::Upgrades(_) => "upgrades",
             SynthesisResult::Infeasible => "infeasible",
+            SynthesisResult::Undecided => "undecided",
         },
         upgrades: match &result {
             SynthesisResult::Upgrades(u) => u.len(),
@@ -192,31 +173,42 @@ pub fn synthesize_upgrades_certified(
     result
 }
 
+/// One query of the search: `input` verified on a fresh analyzer under
+/// the search's shared (already anchored) limits.
+fn verify_under(
+    input: &AnalysisInput,
+    property: Property,
+    spec: ResiliencySpec,
+    ctx: &QueryCtx,
+) -> Verdict {
+    let mut analyzer = Analyzer::with_options(input, ctx.obs.clone(), ctx.certify.clone());
+    analyzer.set_limits(ctx.limits.clone());
+    analyzer.verify(property, spec)
+}
+
 fn synthesize_inner(
     input: &AnalysisInput,
     property: Property,
     spec: ResiliencySpec,
     options: &SynthesisOptions,
-    obs: &Obs,
-    certify: &CertifyOptions,
+    ctx: &QueryCtx,
 ) -> SynthesisResult {
     assert_ne!(
         property,
         Property::Observability,
         "plain observability is security-independent; upgrades cannot help"
     );
-    // Already resilient?
-    let mut analyzer = Analyzer::with_options(input, obs.clone(), certify.clone());
+    // One anchored deadline for the whole search, as in enumeration.
+    let ctx = &QueryCtx {
+        limits: ctx.limits.anchored(Instant::now()),
+        ..ctx.clone()
+    };
     let mut counterexamples: Vec<Vec<DeviceId>> = Vec::new();
-    match analyzer.verify(property, spec) {
+    match verify_under(input, property, spec, ctx) {
         Verdict::Resilient => return SynthesisResult::AlreadyResilient,
         Verdict::Threat(v) => counterexamples.push(v.devices().collect()),
-        // Unlimited queries always reach a definite verdict; if this
-        // ever ran bounded, proceeding without a counterexample is still
-        // sound (the pre-check set just starts empty).
-        Verdict::Unknown { .. } => {}
+        Verdict::Unknown { .. } => return SynthesisResult::Undecided,
     }
-    drop(analyzer);
 
     let hops = upgradable_hops(input);
     if hops.is_empty() {
@@ -236,8 +228,7 @@ fn synthesize_inner(
                 &candidate,
                 options,
                 &mut counterexamples,
-                obs,
-                certify,
+                ctx,
             ) {
                 return result;
             }
@@ -267,7 +258,6 @@ fn synthesize_inner(
     SynthesisResult::Infeasible
 }
 
-#[allow(clippy::too_many_arguments)]
 fn try_candidate(
     input: &AnalysisInput,
     property: Property,
@@ -275,9 +265,9 @@ fn try_candidate(
     candidate: &[Upgrade],
     options: &SynthesisOptions,
     counterexamples: &mut Vec<Vec<DeviceId>>,
-    obs: &Obs,
-    certify: &CertifyOptions,
+    ctx: &QueryCtx,
 ) -> Option<SynthesisResult> {
+    let obs = &ctx.obs;
     let size = candidate.len();
     obs.count("synth_candidates", 1);
     let upgraded = apply_upgrades(input, candidate, options.upgrade_suite);
@@ -297,8 +287,7 @@ fn try_candidate(
         }
     }
     // Full verification of the candidate.
-    let mut analyzer = Analyzer::with_options(&upgraded, obs.clone(), certify.clone());
-    let (outcome, result) = match analyzer.verify(property, spec) {
+    let (outcome, result) = match verify_under(&upgraded, property, spec, ctx) {
         Verdict::Resilient => (
             "repaired",
             Some(SynthesisResult::Upgrades(candidate.to_vec())),
@@ -307,9 +296,10 @@ fn try_candidate(
             counterexamples.push(v.devices().collect());
             ("threat", None)
         }
-        // Never accept a candidate on an undecided query: only a proven
-        // `Resilient` verdict may certify a repair.
-        Verdict::Unknown { .. } => ("undecided", None),
+        // Never accept a candidate on an undecided query, and never go
+        // on past one: a later success would not be provably minimal,
+        // and exhausting the candidates would not prove infeasibility.
+        Verdict::Unknown { .. } => ("undecided", Some(SynthesisResult::Undecided)),
     };
     obs.trace(|| TraceEvent::SynthCandidate { size, outcome });
     result
@@ -344,6 +334,7 @@ mod tests {
             Property::SecuredObservability,
             spec,
             &SynthesisOptions::default(),
+            &QueryCtx::default(),
         );
         match result {
             SynthesisResult::Upgrades(upgrades) => {
@@ -379,6 +370,7 @@ mod tests {
             Property::SecuredObservability,
             ResiliencySpec::split(1, 0),
             &SynthesisOptions::default(),
+            &QueryCtx::default(),
         );
         assert_eq!(result, SynthesisResult::AlreadyResilient);
     }
@@ -392,6 +384,7 @@ mod tests {
             Property::Observability,
             ResiliencySpec::split(1, 1),
             &SynthesisOptions::default(),
+            &QueryCtx::default(),
         );
     }
 
@@ -411,6 +404,7 @@ mod tests {
             Property::SecuredObservability,
             spec,
             &SynthesisOptions::default(),
+            &QueryCtx::default(),
         );
         match result {
             SynthesisResult::Upgrades(upgrades) => {
@@ -432,6 +426,28 @@ mod tests {
             SynthesisResult::AlreadyResilient => {
                 panic!("fig4 secured (0,1) is known non-resilient")
             }
+            SynthesisResult::Undecided => panic!("an unbounded search always decides"),
         }
+    }
+
+    #[test]
+    fn exhausted_limits_leave_synthesis_undecided() {
+        use crate::spec::QueryLimits;
+        use std::time::Duration;
+        // Unbounded, this search repairs the system (see above). A zero
+        // timeout leaves the pre-check undecided, and an undecided
+        // search must claim nothing — least of all `Infeasible`.
+        let ctx = QueryCtx {
+            limits: QueryLimits::none().with_timeout(Duration::ZERO),
+            ..QueryCtx::default()
+        };
+        let result = synthesize_upgrades(
+            &five_bus_case_study(),
+            Property::SecuredObservability,
+            ResiliencySpec::split(1, 1),
+            &SynthesisOptions::default(),
+            &ctx,
+        );
+        assert_eq!(result, SynthesisResult::Undecided);
     }
 }

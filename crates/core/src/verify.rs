@@ -107,14 +107,12 @@ pub struct VerificationReport {
 /// let mut analyzer = Analyzer::new(&input);
 /// // A 1-conflict starting budget with ×2 escalation always reaches a
 /// // definite verdict on the case study — without ever hanging.
-/// let limits = QueryLimits::none()
-///     .with_conflict_budget(1)
-///     .with_retry(RetryPolicy::escalating(32));
-/// let verdict = analyzer.verify_limited(
-///     Property::Observability,
-///     ResiliencySpec::split(2, 1),
-///     &limits,
+/// analyzer.set_limits(
+///     QueryLimits::none()
+///         .with_conflict_budget(1)
+///         .with_retry(RetryPolicy::escalating(32)),
 /// );
+/// let verdict = analyzer.verify(Property::Observability, ResiliencySpec::split(2, 1));
 /// assert!(!verdict.is_unknown());
 /// ```
 #[derive(Debug)]
@@ -128,6 +126,9 @@ pub struct Analyzer<'a> {
     evaluator: DirectEvaluator,
     obs: Obs,
     certify: CertifyOptions,
+    /// Limits every query runs under until changed; see
+    /// [`Analyzer::set_limits`].
+    limits: QueryLimits,
     cert: Option<CertSession>,
     /// Model patches applied so far (delta provenance).
     patches: u64,
@@ -136,17 +137,12 @@ pub struct Analyzer<'a> {
 impl<'a> Analyzer<'a> {
     /// Builds the analyzer (encodes the base model, enumerates paths).
     pub fn new(input: &'a AnalysisInput) -> Analyzer<'a> {
-        Analyzer::with_obs(input, Obs::none())
+        Analyzer::with_options(input, Obs::none(), CertifyOptions::default())
     }
 
-    /// Builds the analyzer with an observability handle: every query run
-    /// through this analyzer emits trace events and metrics through
-    /// `obs`. [`Obs::none`] makes this identical to [`Analyzer::new`].
-    pub fn with_obs(input: &'a AnalysisInput, obs: Obs) -> Analyzer<'a> {
-        Analyzer::with_options(input, obs, CertifyOptions::default())
-    }
-
-    /// Builds the analyzer with observability *and* certification. With
+    /// Builds the analyzer with observability and certification: every
+    /// query run through this analyzer emits trace events and metrics
+    /// through `obs` ([`Obs::none`] for none). With
     /// `certify.enabled`, the solver mirrors every original clause and
     /// streams a DRAT proof, and each verdict is independently
     /// re-checked ([`crate::certify`]); the certificate lands on the
@@ -176,14 +172,10 @@ impl<'a> Analyzer<'a> {
             input,
             obs,
             certify,
+            limits: QueryLimits::none(),
             cert,
             patches: 0,
         }
-    }
-
-    /// The analyzer's observability handle.
-    pub fn obs(&self) -> &Obs {
-        &self.obs
     }
 
     /// The input under analysis. The reference borrows the analyzer —
@@ -264,9 +256,18 @@ impl<'a> Analyzer<'a> {
         self.encoder.find_violation(&self.input, property, spec)
     }
 
-    /// Clears every piece of per-query solver state a previous request
-    /// may have left armed: the wall-clock deadline, the conflict
-    /// budget, the cooperative interrupt flag, and the progress hook.
+    /// Sets the resource limits every later query on this analyzer runs
+    /// under (until the next call or [`Analyzer::reset_for_query`]).
+    /// A per-query `timeout` is anchored afresh as each query starts;
+    /// an absolute deadline is shared by all of them.
+    pub fn set_limits(&mut self, limits: QueryLimits) {
+        self.limits = limits;
+    }
+
+    /// Clears every piece of per-query state a previous request may
+    /// have left behind: the analyzer's limits, and the solver's armed
+    /// wall-clock deadline, conflict budget, cooperative interrupt flag,
+    /// and progress hook.
     ///
     /// Long-lived analyzers (the `scadad` warm sessions) serve
     /// independent requests back to back; without this, a timed-out
@@ -275,6 +276,7 @@ impl<'a> Analyzer<'a> {
     /// disarm limits around each solve, but an *aborted* query — a
     /// panic unwound past the disarm — must not poison its successor.
     pub fn reset_for_query(&mut self) {
+        self.limits = QueryLimits::none();
         let solver = self.encoder.solver_mut();
         QueryLimits::disarm(solver);
         solver.set_progress_hook(None);
@@ -312,50 +314,29 @@ impl<'a> Analyzer<'a> {
         ))
     }
 
-    /// Verifies a property against a specification, running to a
-    /// definite verdict (no resource limits).
+    /// Verifies a property against a specification under the
+    /// analyzer's limits (none unless [`Analyzer::set_limits`] was
+    /// called, in which case the verdict may be `Unknown`).
     pub fn verify(&mut self, property: Property, spec: ResiliencySpec) -> Verdict {
         self.verify_with_report(property, spec).verdict
     }
 
-    /// Verifies under resource limits; see [`QueryLimits`].
-    pub fn verify_limited(
-        &mut self,
-        property: Property,
-        spec: ResiliencySpec,
-        limits: &QueryLimits,
-    ) -> Verdict {
-        self.verify_with_report_limited(property, spec, limits)
-            .verdict
-    }
-
     /// Verifies and returns timing/size measurements.
+    ///
+    /// A query stopped by its conflict budget is retried with a
+    /// geometrically grown budget (`limits.retry`); a query stopped by
+    /// its deadline or interrupt flag is not retried (those limits do
+    /// not grow back). The solver is disarmed afterwards, so a
+    /// later change of limits starts from a clean solver.
     pub fn verify_with_report(
         &mut self,
         property: Property,
         spec: ResiliencySpec,
     ) -> VerificationReport {
-        self.verify_with_report_limited(property, spec, &QueryLimits::none())
-    }
-
-    /// Verifies under resource limits and returns timing/size
-    /// measurements.
-    ///
-    /// A query stopped by its conflict budget is retried with a
-    /// geometrically grown budget (`limits.retry`); a query stopped by
-    /// its deadline or interrupt flag is not retried (those limits do
-    /// not grow back). All solver limits are cleared afterwards, so
-    /// later unlimited queries on the same analyzer are unaffected.
-    pub fn verify_with_report_limited(
-        &mut self,
-        property: Property,
-        spec: ResiliencySpec,
-        limits: &QueryLimits,
-    ) -> VerificationReport {
         let start = Instant::now();
         // Anchor the per-query timeout (if any) now, so every query of a
         // batch gets its own wall-clock allowance.
-        let limits = limits.anchored(start);
+        let limits = self.limits.anchored(start);
         let conflicts_before = self.encoder.solver_stats().conflicts;
         let obs = self.obs.clone();
         // Query ids exist to correlate trace events and name per-query

@@ -7,10 +7,17 @@
 use scada_analyzer::bruteforce::DirectEvaluator;
 use scada_analyzer::casestudy::five_bus_case_study;
 use scada_analyzer::{
-    enumerate_threats_with_limited, par_max_resiliency_certified, verify_batch_certified,
-    AnalysisInput, Analyzer, BudgetAxis, CertFault, Certificate, CertifyOptions, Obs, Property,
-    QueryLimits, ResiliencySpec, Verdict,
+    enumerate_threats, par_max_resiliency, verify_batch, AnalysisInput, Analyzer, BudgetAxis,
+    CertFault, Certificate, CertifyOptions, Obs, Property, QueryCtx, ResiliencySpec, Verdict,
 };
+
+/// An unbounded, untraced query context that certifies every verdict.
+fn certified() -> QueryCtx {
+    QueryCtx {
+        certify: CertifyOptions::enabled(),
+        ..QueryCtx::default()
+    }
+}
 
 fn all_specs() -> Vec<(Property, ResiliencySpec)> {
     let mut queries = Vec::new();
@@ -111,26 +118,23 @@ fn scada_bench_input(seed: u64) -> AnalysisInput {
 #[test]
 fn incremental_sweeps_certify_every_query() {
     let input = five_bus_case_study();
-    let serial = par_max_resiliency_certified(
+    let serial = par_max_resiliency(
         &input,
         Property::Observability,
         BudgetAxis::Total,
         0,
         1,
-        &QueryLimits::none(),
-        &Obs::none(),
-        &CertifyOptions::enabled(),
+        &certified(),
     );
-    let certify = CertifyOptions::enabled();
-    let k = par_max_resiliency_certified(
+    let ctx = certified();
+    let certify = &ctx.certify;
+    let k = par_max_resiliency(
         &input,
         Property::Observability,
         BudgetAxis::Total,
         0,
         2,
-        &QueryLimits::none(),
-        &Obs::none(),
-        &certify,
+        &ctx,
     );
     assert_eq!(k, serial, "certification must not change the sweep answer");
     assert!(certify.log.checks() >= 3, "every sweep query certifies");
@@ -145,14 +149,14 @@ fn incremental_sweeps_certify_every_query() {
 #[test]
 fn enumeration_certifies_vectors_and_exhaustion() {
     let input = five_bus_case_study();
-    let certify = CertifyOptions::enabled();
-    let mut analyzer = Analyzer::with_options(&input, Obs::none(), certify.clone());
-    let space = enumerate_threats_with_limited(
-        &mut analyzer,
+    let ctx = certified();
+    let certify = &ctx.certify;
+    let space = enumerate_threats(
+        &input,
         Property::Observability,
         ResiliencySpec::split(2, 1),
         64,
-        &QueryLimits::none(),
+        &ctx,
     );
     assert!(!space.is_empty());
     assert!(!space.truncated);
@@ -170,15 +174,9 @@ fn enumeration_certifies_vectors_and_exhaustion() {
 fn parallel_batch_certifies_into_one_shared_log() {
     let input = five_bus_case_study();
     let queries = all_specs();
-    let certify = CertifyOptions::enabled();
-    let reports = verify_batch_certified(
-        &input,
-        &queries,
-        4,
-        &QueryLimits::none(),
-        &Obs::none(),
-        &certify,
-    );
+    let ctx = certified();
+    let certify = &ctx.certify;
+    let reports = verify_batch(&input, &queries, 4, &ctx);
     assert_eq!(reports.len(), queries.len());
     for report in &reports {
         let certificate = report.certificate.as_ref().expect("certified batch");

@@ -1,5 +1,5 @@
 //! End-to-end tests of the `scada-analyzer` binary: exit codes, bounded
-//! enumeration termination, and the JSONL trace format.
+//! enumeration and repair termination, and the JSONL trace format.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -98,6 +98,26 @@ fn bounded_enumeration_terminates_and_reports_undecided() {
     );
     assert_eq!(exit_code(&out), 3);
     assert!(text(&out.stdout).contains("undecided: limit exhausted"));
+}
+
+#[test]
+fn bounded_repair_terminates_and_reports_undecided() {
+    let config = template_config("repair-bounded");
+    // Regression: --repair used to ignore the limits and run synthesis
+    // unbounded. Now the whole search shares the query deadline and
+    // reports itself undecided instead of claiming a repair, "nothing
+    // to do" or infeasibility it never proved.
+    let out = run(
+        &config,
+        &["--property", "secured", "--repair", "--timeout", "0ms"],
+    );
+    assert_eq!(exit_code(&out), 3);
+    let stdout = text(&out.stdout);
+    assert!(
+        stdout.contains("repair: undecided (limit exhausted)"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("infeasible"), "{stdout}");
 }
 
 #[test]

@@ -10,9 +10,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use scada_analyzer::casestudy::five_bus_case_study;
-use scada_analyzer::parallel::{par_map, verify_batch, verify_batch_limited};
+use scada_analyzer::parallel::{par_map, verify_batch};
 use scada_analyzer::{
-    Analyzer, Property, QueryLimits, ResiliencySpec, RetryPolicy, SearchOutcome, Verdict,
+    Analyzer, Obs, Property, QueryCtx, QueryLimits, ResiliencySpec, RetryPolicy, SearchOutcome,
+    Verdict,
 };
 
 const OBS: Property = Property::Observability;
@@ -25,12 +26,12 @@ fn one_conflict_budget_yields_unknown_not_panic() {
     let mut analyzer = Analyzer::new(&input);
     // Arm the solver directly with a tiny budget, as the old panic path
     // would have been reached.
-    let limits = QueryLimits::none().with_conflict_budget(1);
+    analyzer.set_limits(QueryLimits::none().with_conflict_budget(1));
     // Probe repeatedly: some specs decide without a single conflict;
     // at least the encoding-heavy ones exercise the budget. None may
     // panic, and any Unknown must carry through as a verdict.
     for k in 0..4 {
-        let verdict = analyzer.verify_limited(OBS, ResiliencySpec::total(k), &limits);
+        let verdict = analyzer.verify(OBS, ResiliencySpec::total(k));
         match verdict {
             Verdict::Resilient | Verdict::Threat(_) => {}
             Verdict::Unknown { elapsed, .. } => {
@@ -55,15 +56,16 @@ fn search_outcome_accessors() {
 
 /// An already-expired deadline stops a query immediately with `Unknown`,
 /// and the analyzer still answers unlimited queries correctly afterwards
-/// (limits are disarmed per query).
+/// (limits are disarmed per query, so lifting them leaves no trace).
 #[test]
 fn expired_deadline_degrades_then_recovers() {
     let input = five_bus_case_study();
     let mut analyzer = Analyzer::new(&input);
-    let expired = QueryLimits::none().with_deadline(Instant::now());
-    let verdict = analyzer.verify_limited(OBS, ResiliencySpec::split(2, 1), &expired);
+    analyzer.set_limits(QueryLimits::none().with_deadline(Instant::now()));
+    let verdict = analyzer.verify(OBS, ResiliencySpec::split(2, 1));
     assert!(verdict.is_unknown(), "expired deadline must yield Unknown");
     // Same analyzer, no limits: the seed verdicts still hold.
+    analyzer.set_limits(QueryLimits::none());
     assert!(analyzer
         .verify(OBS, ResiliencySpec::split(1, 1))
         .is_resilient());
@@ -79,11 +81,13 @@ fn escalating_retry_reaches_definite_verdict() {
     let input = five_bus_case_study();
     for spec in [ResiliencySpec::split(1, 1), ResiliencySpec::split(2, 1)] {
         let reference = Analyzer::new(&input).verify(OBS, spec);
-        let limits = QueryLimits::none()
-            .with_conflict_budget(1)
-            .with_retry(RetryPolicy::escalating(32));
         let mut analyzer = Analyzer::new(&input);
-        let report = analyzer.verify_with_report_limited(OBS, spec, &limits);
+        analyzer.set_limits(
+            QueryLimits::none()
+                .with_conflict_budget(1)
+                .with_retry(RetryPolicy::escalating(32)),
+        );
+        let report = analyzer.verify_with_report(OBS, spec);
         assert!(
             !report.verdict.is_unknown(),
             "escalation must decide {spec}"
@@ -102,9 +106,9 @@ fn escalating_retry_reaches_definite_verdict() {
 #[test]
 fn no_retry_keeps_unknown_with_metadata() {
     let input = five_bus_case_study();
-    let limits = QueryLimits::none().with_conflict_budget(1);
     let mut analyzer = Analyzer::new(&input);
-    let report = analyzer.verify_with_report_limited(OBS, ResiliencySpec::split(2, 1), &limits);
+    analyzer.set_limits(QueryLimits::none().with_conflict_budget(1));
+    let report = analyzer.verify_with_report(OBS, ResiliencySpec::split(2, 1));
     if let Verdict::Unknown { conflicts, elapsed } = report.verdict {
         assert!(conflicts >= 1, "budget was actually consumed");
         assert!(elapsed <= report.duration + Duration::from_millis(5));
@@ -130,8 +134,11 @@ fn bounded_batch_degrades_per_query() {
     let input = five_bus_case_study();
     let queries: Vec<(Property, ResiliencySpec)> =
         (0..3).map(|k| (OBS, ResiliencySpec::total(k))).collect();
-    let expired = QueryLimits::none().with_deadline(Instant::now());
-    let bounded = verify_batch_limited(&input, &queries, 2, &expired);
+    let expired = QueryCtx {
+        limits: QueryLimits::none().with_deadline(Instant::now()),
+        ..QueryCtx::default()
+    };
+    let bounded = verify_batch(&input, &queries, 2, &expired);
     assert_eq!(bounded.len(), queries.len());
     for report in &bounded {
         assert!(
@@ -140,7 +147,7 @@ fn bounded_batch_degrades_per_query() {
         );
     }
     // The unlimited batch still decides everything.
-    let unlimited = verify_batch(&input, &queries, 2);
+    let unlimited = verify_batch(&input, &queries, 2, &QueryCtx::default());
     assert!(unlimited.iter().all(|r| !r.verdict.is_unknown()));
 }
 
@@ -151,7 +158,7 @@ fn bounded_batch_degrades_per_query() {
 fn fleet_panic_surfaces_original_message() {
     let items: Vec<usize> = (0..32).collect();
     let result = catch_unwind(AssertUnwindSafe(|| {
-        par_map(&items, 4, |_, &x| {
+        par_map(&items, 4, &Obs::none(), |_, &x, _| {
             if x == 5 {
                 panic!("injected fault in job five");
             }
@@ -167,7 +174,7 @@ fn fleet_panic_surfaces_original_message() {
 
     // The pool is reusable after the failure — rerun a clean fleet on
     // the same thread.
-    let doubled = par_map(&items, 4, |_, &x| x * 2);
+    let doubled = par_map(&items, 4, &Obs::none(), |_, &x, _| x * 2);
     assert_eq!(doubled[31], 62);
 }
 
@@ -178,7 +185,7 @@ fn fleet_panic_is_stable_across_repeats() {
     let items: Vec<usize> = (0..16).collect();
     for _ in 0..20 {
         let result = catch_unwind(AssertUnwindSafe(|| {
-            par_map(&items, 8, |_, &x| {
+            par_map(&items, 8, &Obs::none(), |_, &x, _| {
                 if x % 7 == 3 {
                     panic!("fault {}", x % 7);
                 }
@@ -286,7 +293,7 @@ fn panicking_verification_job_leaves_siblings_sound() {
     // Simulate a poisoned job via par_map over the same query list: the
     // job for k == 2 blows up mid-"verification".
     let result = catch_unwind(AssertUnwindSafe(|| {
-        par_map(&queries, 2, |i, &(p, s)| {
+        par_map(&queries, 2, &Obs::none(), |i, &(p, s), _| {
             if i == 2 {
                 panic!("query {i} poisoned");
             }
@@ -296,7 +303,7 @@ fn panicking_verification_job_leaves_siblings_sound() {
     assert!(result.is_err(), "fleet must fail loudly, not partially");
 
     // A clean batch on the same inputs afterwards is unaffected.
-    let reports = verify_batch(&input, &queries, 2);
+    let reports = verify_batch(&input, &queries, 2, &QueryCtx::default());
     assert!(reports[0].verdict.is_resilient());
     assert!(reports[1].verdict.is_resilient());
     assert!(!reports[3].verdict.is_resilient());

@@ -14,8 +14,8 @@
 
 use proptest::prelude::*;
 use scada_analyzer::{
-    enumerate_threats_with_limited, AnalysisInput, Analyzer, BudgetAxis, CertifyOptions,
-    ModelPatch, Obs, Property, QueryLimits, ResiliencySpec, ThreatSpace,
+    enumerate_threats, AnalysisInput, Analyzer, BudgetAxis, CertifyOptions, ModelPatch, Obs,
+    Property, QueryCtx, ResiliencySpec, ThreatSpace,
 };
 use scadasim::{
     generate, CryptoAlgorithm, CryptoProfile, DeviceId, DeviceKind, ScadaConfig, ScadaGenConfig,
@@ -173,21 +173,22 @@ proptest! {
                 property, applied
             );
         }
-        // Enumeration last: its blocking clauses poison later queries on
-        // the same analyzer (both analyzers retire together here).
-        let w = enumerate_threats_with_limited(
-            &mut warm,
+        // Enumeration runs on its own analyzer over the session's input,
+        // as the service's `enumerate` op does: the patched input must
+        // enumerate exactly like the cold one.
+        let w = enumerate_threats(
+            warm.input(),
             Property::Observability,
             ResiliencySpec::split(1, 1),
             64,
-            &QueryLimits::none(),
+            &QueryCtx::default(),
         );
-        let c = enumerate_threats_with_limited(
-            &mut cold,
+        let c = enumerate_threats(
+            cold.input(),
             Property::Observability,
             ResiliencySpec::split(1, 1),
             64,
-            &QueryLimits::none(),
+            &QueryCtx::default(),
         );
         prop_assert_eq!(canonical(&w), canonical(&c));
         prop_assert_eq!((w.truncated, w.undecided), (c.truncated, c.undecided));

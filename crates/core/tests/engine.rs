@@ -8,7 +8,7 @@ use powergrid::{BusId, MeasurementId, MeasurementKind, MeasurementSet};
 use scada_analyzer::casestudy::five_bus_case_study;
 use scada_analyzer::encode::ModelEncoder;
 use scada_analyzer::{
-    enumerate_threats, AnalysisInput, Analyzer, BudgetAxis, Property, ResiliencySpec,
+    enumerate_threats, AnalysisInput, Analyzer, BudgetAxis, Property, QueryCtx, ResiliencySpec,
 };
 use scadasim::{Device, DeviceId, DeviceKind, Link, Topology};
 
@@ -96,6 +96,7 @@ fn enumeration_on_crafted_topology_is_exact() {
         Property::Observability,
         ResiliencySpec::split(1, 1),
         64,
+        &QueryCtx::default(),
     );
     assert!(!space.truncated);
     let rendered: HashSet<String> = space.vectors.iter().map(|v| v.to_string()).collect();

@@ -3,11 +3,13 @@
 //! (protocol robustness, warm-session reuse, graceful drain).
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
+use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
+use scada_analyzer::service::{serve_tcp, Engine, ServeOptions};
 use scada_analyzer::{model_hash, AnalysisInput};
 use scadasim::{generate, parse_config, write_config, ScadaConfig, ScadaGenConfig};
 
@@ -573,13 +575,20 @@ fn tcp_patch_pipelined_before_shutdown_always_completes() {
     assert!(status.success(), "scadad exited {status:?}");
 }
 
-/// The oversized-line resync regression at the binary level: junk past
-/// `--max-line` and a valid request in one TCP segment must yield the
-/// oversize error and then the valid reply on the legacy
-/// thread-per-connection transport too.
+/// The oversized-line resync regression on the thread-per-connection
+/// transport (`serve_tcp`, the TCP front-end on platforms without the
+/// event loop), driven in-process so it runs everywhere: junk past
+/// `max_line` and a valid request in one TCP segment must yield the
+/// oversize error and then the valid reply.
 #[test]
 fn tcp_thread_per_conn_resyncs_after_oversized_write() {
-    let (mut child, addr) = scadad_tcp(&["--thread-per-conn", "--max-line", "256"]);
+    let engine = Arc::new(Engine::new(ServeOptions {
+        max_line: 256,
+        ..ServeOptions::default()
+    }));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let server = std::thread::spawn(move || serve_tcp(engine, listener));
 
     let mut client = TcpClient::connect(&addr);
     let mut payload = vec![b'x'; 4096];
@@ -601,6 +610,8 @@ fn tcp_thread_per_conn_resyncs_after_oversized_write() {
 
     let ack = client.request("{\"op\":\"shutdown\"}");
     assert!(ack.contains("\"draining\":true"), "{ack}");
-    let status = child.wait().expect("wait scadad");
-    assert!(status.success(), "scadad exited {status:?}");
+    server
+        .join()
+        .expect("serve_tcp panicked")
+        .expect("serve_tcp failed");
 }

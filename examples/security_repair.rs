@@ -10,7 +10,7 @@ use scada_analysis::analyzer::casestudy::five_bus_case_study;
 use scada_analysis::analyzer::synthesis::{
     apply_upgrades, synthesize_upgrades, upgradable_hops, SynthesisOptions, SynthesisResult,
 };
-use scada_analysis::analyzer::{Analyzer, Property, ResiliencySpec, Verdict};
+use scada_analysis::analyzer::{Analyzer, Property, QueryCtx, ResiliencySpec, Verdict};
 
 fn main() {
     let input = five_bus_case_study();
@@ -31,7 +31,13 @@ fn main() {
     }
 
     println!("\nsynthesizing a minimal upgrade set…");
-    match synthesize_upgrades(&input, property, spec, &SynthesisOptions::default()) {
+    match synthesize_upgrades(
+        &input,
+        property,
+        spec,
+        &SynthesisOptions::default(),
+        &QueryCtx::default(),
+    ) {
         SynthesisResult::Upgrades(upgrades) => {
             for (a, b) in &upgrades {
                 println!(
@@ -60,5 +66,7 @@ fn main() {
         SynthesisResult::Infeasible => {
             println!("  infeasible: no crypto upgrade can compensate the topology")
         }
+        // Only reachable under resource limits; this example runs unbounded.
+        SynthesisResult::Undecided => println!("  undecided: a resource limit cut the search"),
     }
 }

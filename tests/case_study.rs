@@ -6,7 +6,7 @@
 
 use scada_analysis::analyzer::casestudy::{five_bus_case_study, five_bus_fig4};
 use scada_analysis::analyzer::{
-    enumerate_threats, Analyzer, BudgetAxis, Property, ResiliencySpec, Verdict,
+    enumerate_threats, Analyzer, BudgetAxis, Property, QueryCtx, ResiliencySpec, Verdict,
 };
 
 const OBS: Property = Property::Observability;
@@ -24,7 +24,13 @@ fn scenario1_fig3_is_1_1_resilient() {
 #[test]
 fn scenario1_fig3_2_1_has_threats_including_ied2_ied7_rtu11() {
     let input = five_bus_case_study();
-    let space = enumerate_threats(&input, OBS, ResiliencySpec::split(2, 1), 64);
+    let space = enumerate_threats(
+        &input,
+        OBS,
+        ResiliencySpec::split(2, 1),
+        64,
+        &QueryCtx::default(),
+    );
     assert!(!space.truncated);
     // The paper's example vector plus "another 8": nine in total.
     assert_eq!(space.len(), 9, "vectors: {:?}", space.vectors);
@@ -96,7 +102,13 @@ fn scenario1_fig4_rtu12_alone_is_fatal_and_max_is_3_0() {
 #[test]
 fn scenario2_fig3_not_1_1_resilient_with_ied3_rtu11() {
     let input = five_bus_case_study();
-    let space = enumerate_threats(&input, SEC, ResiliencySpec::split(1, 1), 64);
+    let space = enumerate_threats(
+        &input,
+        SEC,
+        ResiliencySpec::split(1, 1),
+        64,
+        &QueryCtx::default(),
+    );
     // "There are 4 more threat vectors": five in total.
     assert_eq!(space.len(), 5, "vectors: {:?}", space.vectors);
     let reported = space.vectors.iter().any(|v| {
@@ -126,7 +138,13 @@ fn scenario2_fig3_1_0_and_0_1_are_resilient() {
 #[test]
 fn scenario2_fig4_single_secured_threat_vector_rtu12() {
     let input = five_bus_fig4();
-    let space = enumerate_threats(&input, SEC, ResiliencySpec::split(0, 1), 64);
+    let space = enumerate_threats(
+        &input,
+        SEC,
+        ResiliencySpec::split(0, 1),
+        64,
+        &QueryCtx::default(),
+    );
     assert_eq!(space.len(), 1, "vectors: {:?}", space.vectors);
     let v = &space.vectors[0];
     assert!(v.ieds.is_empty());

@@ -84,7 +84,7 @@ fn sat_agrees_with_bruteforce_on_ieee14_scada() {
 
 #[test]
 fn threat_vectors_are_minimal_and_real() {
-    use scada_analysis::analyzer::enumerate_threats;
+    use scada_analysis::analyzer::{enumerate_threats, QueryCtx};
     use std::collections::HashSet;
     let scada = generate(
         ieee14(),
@@ -104,7 +104,13 @@ fn threat_vectors_are_minimal_and_real() {
     let analyzer = Analyzer::new(&input);
     let eval = analyzer.evaluator();
     for property in [Property::Observability, Property::SecuredObservability] {
-        let space = enumerate_threats(&input, property, ResiliencySpec::split(2, 1), 200);
+        let space = enumerate_threats(
+            &input,
+            property,
+            ResiliencySpec::split(2, 1),
+            200,
+            &QueryCtx::default(),
+        );
         for v in &space.vectors {
             let failed: HashSet<_> = v.devices().collect();
             assert!(

@@ -6,7 +6,9 @@
 use std::collections::HashSet;
 
 use scada_analysis::analyzer::casestudy::five_bus_case_study;
-use scada_analysis::analyzer::{enumerate_threats, Analyzer, Property, ResiliencySpec, Verdict};
+use scada_analysis::analyzer::{
+    enumerate_threats, Analyzer, Property, QueryCtx, ResiliencySpec, Verdict,
+};
 use scada_analysis::scada::DeviceId;
 
 const OBS: Property = Property::Observability;
@@ -45,7 +47,7 @@ fn single_link_cut_can_blind_the_system() {
 fn link_vectors_enumerate_and_are_minimal() {
     let input = five_bus_case_study();
     let spec = ResiliencySpec::split(0, 0).with_link_failures(1);
-    let space = enumerate_threats(&input, OBS, spec, 64);
+    let space = enumerate_threats(&input, OBS, spec, 64, &QueryCtx::default());
     assert!(!space.truncated);
     assert!(!space.is_empty());
     let analyzer = Analyzer::new(&input);
