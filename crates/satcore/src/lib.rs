@@ -10,11 +10,22 @@
 //!
 //! The solver implements the standard modern architecture:
 //!
-//! * two-watched-literal unit propagation with blocker literals,
+//! * one flat clause arena: every clause is a header word (length,
+//!   learnt and deleted bits) followed by its literals in a single
+//!   `Vec`, addressed by offset, with a learnt clause's LBD and `f64`
+//!   activity stored after its literals,
+//! * two-watched-literal unit propagation with blocker literals over a
+//!   value array indexed by literal; a binary clause's watcher is tagged
+//!   and propagates (or reports a conflict) from its blocker alone,
+//!   without touching the arena,
 //! * first-UIP conflict analysis with self-subsumption minimization,
+//!   reusing its buffers across conflicts,
 //! * VSIDS variable activities, phase saving, and an indexed heap,
 //! * Luby restarts,
-//! * learnt-clause deletion driven by literal block distance and activity,
+//! * learnt-clause deletion driven by literal block distance and
+//!   activity, with the arena compacted (watchers, reasons and the
+//!   learnt list remapped in order) once deleted clauses waste a fifth
+//!   of it,
 //! * incremental solving with assumptions and unsat-core extraction.
 //!
 //! # Examples
@@ -55,7 +66,6 @@ pub mod luby;
 pub mod proof;
 
 pub use check::{check_model, check_unsat_proof, CheckError, CheckStats, RupChecker};
-pub use clause::{Clause, ClauseRef};
 pub use dimacs::{parse_dimacs, write_dimacs, Cnf, ParseDimacsError};
 pub use lit::{LBool, Lit, Var};
 pub use luby::luby;

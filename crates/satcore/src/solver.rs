@@ -1,9 +1,11 @@
 //! The CDCL solver.
 //!
 //! A conflict-driven clause-learning SAT solver in the MiniSat lineage:
-//! two-watched-literal propagation, first-UIP conflict analysis with
-//! self-subsumption minimization, VSIDS variable activities with phase
-//! saving, Luby restarts, and LBD/activity-based learnt-clause deletion.
+//! two-watched-literal propagation over a flat clause arena (binary
+//! clauses propagate straight from their watcher), first-UIP conflict
+//! analysis with self-subsumption minimization, VSIDS variable
+//! activities with phase saving, Luby restarts, and LBD/activity-based
+//! learnt-clause deletion with arena compaction.
 //! The solver is incremental: clauses and variables can be added between
 //! calls to [`Solver::solve`], and [`Solver::solve_with_assumptions`]
 //! supports querying under temporary unit assumptions with extraction of
@@ -13,7 +15,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::clause::{Clause, ClauseDb, ClauseRef};
+use crate::clause::{ClauseDb, ClauseRef, Relocation, MAX_ARENA_WORDS};
 use crate::dimacs::Cnf;
 use crate::heap::VarHeap;
 use crate::lit::{LBool, Lit, Var};
@@ -107,10 +109,37 @@ pub trait CnfSink {
 
 #[derive(Debug, Clone, Copy)]
 struct Watcher {
-    cref: ClauseRef,
+    /// The clause's arena offset, tagged with [`BINARY`] when the
+    /// clause has exactly two literals.
+    tagged: u32,
     /// A literal of the clause other than the watched one; if it is
     /// already true the clause is satisfied and can be skipped cheaply.
+    /// For a binary clause it is the other literal, so the watcher alone
+    /// decides propagation.
     blocker: Lit,
+}
+
+/// Tag bit of a binary clause's [`Watcher`]; arena offsets stay below it.
+const BINARY: u32 = MAX_ARENA_WORDS as u32;
+
+impl Watcher {
+    #[inline]
+    fn new(cref: ClauseRef, blocker: Lit, binary: bool) -> Watcher {
+        Watcher {
+            tagged: cref.0 | if binary { BINARY } else { 0 },
+            blocker,
+        }
+    }
+
+    #[inline]
+    fn cref(self) -> ClauseRef {
+        ClauseRef(self.tagged & !BINARY)
+    }
+
+    #[inline]
+    fn is_binary(self) -> bool {
+        self.tagged & BINARY != 0
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -141,7 +170,8 @@ pub struct Solver {
     /// Watch lists indexed by the *asserted* literal: `watches[p]` holds
     /// clauses in which `¬p` is watched (visited when `p` becomes true).
     watches: Vec<Vec<Watcher>>,
-    assigns: Vec<LBool>,
+    /// Current value of every literal, indexed by [`Lit::code`].
+    vals: Vec<LBool>,
     var_data: Vec<VarData>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
@@ -156,6 +186,13 @@ pub struct Solver {
     /// Scratch for conflict analysis.
     seen: Vec<bool>,
     analyze_clear: Vec<Var>,
+    /// The clause the last [`Solver::analyze`] learnt.
+    learnt: Vec<Lit>,
+    /// Per-decision-level stamps for counting distinct levels (LBD).
+    level_stamp: Vec<u64>,
+    stamp: u64,
+    /// Scratch for simplifying a clause being added.
+    add_buf: Vec<Lit>,
     /// False once a top-level conflict makes the instance trivially unsat.
     ok: bool,
     learnts: Vec<ClauseRef>,
@@ -199,7 +236,7 @@ impl Solver {
         Solver {
             db: ClauseDb::new(),
             watches: Vec::new(),
-            assigns: Vec::new(),
+            vals: Vec::new(),
             var_data: Vec::new(),
             trail: Vec::new(),
             trail_lim: Vec::new(),
@@ -213,6 +250,10 @@ impl Solver {
             cla_decay: 0.999,
             seen: Vec::new(),
             analyze_clear: Vec::new(),
+            learnt: Vec::new(),
+            level_stamp: Vec::new(),
+            stamp: 0,
+            add_buf: Vec::new(),
             ok: true,
             learnts: Vec::new(),
             max_learnts: 0.0,
@@ -247,7 +288,7 @@ impl Solver {
     pub fn set_clause_mirror(&mut self, enabled: bool) {
         if enabled && self.mirror.is_none() {
             self.mirror = Some(Cnf {
-                num_vars: self.assigns.len(),
+                num_vars: self.num_vars(),
                 clauses: Vec::new(),
             });
         } else if !enabled {
@@ -266,13 +307,6 @@ impl Solver {
     fn emit_add(&mut self, lits: &[Lit]) {
         if let Some(p) = self.proof.as_mut() {
             p.0.add_clause(lits);
-        }
-    }
-
-    #[inline]
-    fn emit_delete(&mut self, lits: &[Lit]) {
-        if let Some(p) = self.proof.as_mut() {
-            p.0.delete_clause(lits);
         }
     }
 
@@ -302,6 +336,12 @@ impl Solver {
     /// Number of original (problem) clauses.
     pub fn num_original_clauses(&self) -> usize {
         self.db.num_original
+    }
+
+    /// Words (4 bytes each) the clause arena occupies, including those
+    /// of deleted clauses not yet reclaimed by compaction.
+    pub fn arena_words(&self) -> usize {
+        self.db.words()
     }
 
     /// Solver statistics accumulated so far.
@@ -424,12 +464,7 @@ impl Solver {
 
     #[inline]
     fn value_lit(&self, l: Lit) -> LBool {
-        let v = self.assigns[l.var().index()];
-        if l.is_negative() {
-            v.negate()
-        } else {
-            v
-        }
+        self.vals[l.code()]
     }
 
     #[inline]
@@ -461,41 +496,54 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        // Sort + dedup; drop clauses with complementary or true literals,
-        // strip false literals.
-        let mut c: Vec<Lit> = lits.to_vec();
+        let mut c = std::mem::take(&mut self.add_buf);
+        let ok = self.add_simplified(lits, &mut c);
+        self.add_buf = c;
+        ok
+    }
+
+    /// Sorts and dedups `lits` into the scratch buffer `c`, drops the
+    /// clause if it is a tautology or true at level 0, strips false
+    /// literals, and stores what is left.
+    fn add_simplified(&mut self, lits: &[Lit], c: &mut Vec<Lit>) -> bool {
+        c.clear();
+        c.extend_from_slice(lits);
         c.sort_unstable();
         c.dedup();
-        let mut out: Vec<Lit> = Vec::with_capacity(c.len());
+        let deduped = c.len();
+        let mut out = 0;
         let mut prev: Option<Lit> = None;
-        for &l in &c {
-            debug_assert!(l.var().index() < self.assigns.len(), "unknown variable");
-            if let Some(p) = prev {
-                if p == !l {
-                    return true; // tautology
-                }
+        for i in 0..deduped {
+            let l = c[i];
+            debug_assert!(l.code() < self.vals.len(), "unknown variable");
+            if prev == Some(!l) {
+                return true; // tautology
             }
             match self.value_lit(l) {
                 LBool::True => return true, // already satisfied at level 0
                 LBool::False => {}          // drop falsified literal
-                LBool::Undef => out.push(l),
+                LBool::Undef => {
+                    c[out] = l;
+                    out += 1;
+                }
             }
             prev = Some(l);
         }
+        c.truncate(out);
         // A clause shrunk by level-0 simplification no longer matches
         // what the caller added; emit the shrunk form as a proof step
         // (it is RUP: the stripped literals are all falsified by units
         // the checker has already propagated).
-        if out.len() < c.len() && !out.is_empty() {
-            self.emit_add(&out);
+        if out < deduped && out > 0 {
+            self.emit_add(c);
         }
-        match out.len() {
+        match out {
             0 => {
                 self.set_unsat();
                 false
             }
             1 => {
-                self.unchecked_enqueue(out[0], None);
+                self.unchecked_enqueue(c[0], None);
                 if self.propagate().is_some() {
                     self.set_unsat();
                     false
@@ -504,7 +552,7 @@ impl Solver {
                 }
             }
             _ => {
-                let cref = self.db.push(Clause::new(out, false));
+                let cref = self.db.push(c, false);
                 self.attach(cref);
                 true
             }
@@ -512,18 +560,17 @@ impl Solver {
     }
 
     fn attach(&mut self, cref: ClauseRef) {
-        let (l0, l1) = {
-            let c = self.db.get(cref);
-            debug_assert!(c.len() >= 2);
-            (c.lits[0], c.lits[1])
-        };
-        self.watches[(!l0).code()].push(Watcher { cref, blocker: l1 });
-        self.watches[(!l1).code()].push(Watcher { cref, blocker: l0 });
+        let lits = self.db.lits(cref);
+        debug_assert!(lits.len() >= 2);
+        let (l0, l1, binary) = (lits[0], lits[1], lits.len() == 2);
+        self.watches[(!l0).code()].push(Watcher::new(cref, l1, binary));
+        self.watches[(!l1).code()].push(Watcher::new(cref, l0, binary));
     }
 
     fn unchecked_enqueue(&mut self, l: Lit, reason: Option<ClauseRef>) {
         debug_assert_eq!(self.value_lit(l), LBool::Undef);
-        self.assigns[l.var().index()] = LBool::from_bool(l.is_positive());
+        self.vals[l.code()] = LBool::True;
+        self.vals[(!l).code()] = LBool::False;
         self.var_data[l.var().index()] = VarData {
             reason,
             level: self.decision_level(),
@@ -532,6 +579,13 @@ impl Solver {
     }
 
     /// Unit propagation; returns the conflicting clause, if any.
+    ///
+    /// A long clause keeps its two watched literals at positions 0 and
+    /// 1, and an implied literal at position 0, where
+    /// [`Solver::analyze`] expects it. A binary clause is never
+    /// reordered except on a conflict, which leaves it as
+    /// `[other, falsified]`; analysis finds a binary reason's implied
+    /// literal by variable instead.
     fn propagate(&mut self) -> Option<ClauseRef> {
         let mut conflict = None;
         while self.qhead < self.trail.len() {
@@ -546,63 +600,68 @@ impl Solver {
                 let w = ws[i];
                 i += 1;
                 // Fast path: blocker already true.
-                if self.value_lit(w.blocker) == LBool::True {
+                let blocker_val = self.vals[w.blocker.code()];
+                if blocker_val == LBool::True {
                     ws[j] = w;
                     j += 1;
                     continue;
                 }
-                let cref = w.cref;
-                if self.db.get(cref).deleted {
+                let cref = w.cref();
+                if w.is_binary() {
+                    debug_assert!(!self.db.is_deleted(cref));
+                    ws[j] = w;
+                    j += 1;
+                    if blocker_val == LBool::False {
+                        let c = self.db.lits_mut(cref);
+                        if c[0] == false_lit {
+                            c.swap(0, 1);
+                        }
+                        conflict = Some(cref);
+                        break;
+                    }
+                    self.unchecked_enqueue(w.blocker, Some(cref));
+                    continue;
+                }
+                if self.db.is_deleted(cref) {
                     continue; // lazily drop watchers of deleted clauses
                 }
                 // Make sure the falsified literal is at index 1.
-                {
-                    let c = self.db.get_mut(cref);
-                    if c.lits[0] == false_lit {
-                        c.lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(c.lits[1], false_lit);
+                let c = self.db.lits_mut(cref);
+                if c[0] == false_lit {
+                    c.swap(0, 1);
                 }
-                let first = self.db.get(cref).lits[0];
-                if first != w.blocker && self.value_lit(first) == LBool::True {
-                    ws[j] = Watcher {
-                        cref,
-                        blocker: first,
-                    };
+                debug_assert_eq!(c[1], false_lit);
+                let first = c[0];
+                if first != w.blocker && self.vals[first.code()] == LBool::True {
+                    ws[j] = Watcher::new(cref, first, false);
                     j += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let len = self.db.get(cref).len();
-                for k in 2..len {
-                    let lk = self.db.get(cref).lits[k];
-                    if self.value_lit(lk) != LBool::False {
-                        let c = self.db.get_mut(cref);
-                        c.lits.swap(1, k);
-                        self.watches[(!lk).code()].push(Watcher {
-                            cref,
-                            blocker: first,
-                        });
+                for k in 2..c.len() {
+                    let lk = c[k];
+                    if self.vals[lk.code()] != LBool::False {
+                        c.swap(1, k);
+                        self.watches[(!lk).code()].push(Watcher::new(cref, first, false));
                         continue 'watchers;
                     }
                 }
                 // Clause is unit or conflicting under the first literal.
-                ws[j] = Watcher {
-                    cref,
-                    blocker: first,
-                };
+                ws[j] = Watcher::new(cref, first, false);
                 j += 1;
-                if self.value_lit(first) == LBool::False {
+                if self.vals[first.code()] == LBool::False {
                     conflict = Some(cref);
-                    self.qhead = self.trail.len();
-                    // Copy remaining watchers back.
-                    while i < ws.len() {
-                        ws[j] = ws[i];
-                        j += 1;
-                        i += 1;
-                    }
-                } else {
-                    self.unchecked_enqueue(first, Some(cref));
+                    break;
+                }
+                self.unchecked_enqueue(first, Some(cref));
+            }
+            if conflict.is_some() {
+                // Keep the watchers not visited yet.
+                self.qhead = self.trail.len();
+                while i < ws.len() {
+                    ws[j] = ws[i];
+                    j += 1;
+                    i += 1;
                 }
             }
             ws.truncate(j);
@@ -624,7 +683,8 @@ impl Solver {
             let l = self.trail[i];
             let v = l.var();
             self.saved_phase[v.index()] = l.is_positive();
-            self.assigns[v.index()] = LBool::Undef;
+            self.vals[l.code()] = LBool::Undef;
+            self.vals[(!l).code()] = LBool::Undef;
             self.var_data[v.index()].reason = None;
             if !self.order.contains(v) {
                 self.order.insert(v, &self.activity);
@@ -651,13 +711,15 @@ impl Solver {
         self.var_inc /= self.var_decay;
     }
 
+    /// Bumps a learnt clause's activity. Every live learnt clause must
+    /// already be in `learnts`, which the rescale walks.
     fn clause_bump(&mut self, cref: ClauseRef) {
-        let inc = self.cla_inc;
-        let c = self.db.get_mut(cref);
-        c.activity += inc;
-        if c.activity > 1e20 {
-            for r in 0..self.db.clauses.len() {
-                self.db.clauses[r].activity *= 1e-20;
+        let activity = self.db.activity(cref) + self.cla_inc;
+        self.db.set_activity(cref, activity);
+        if activity > 1e20 {
+            for &r in &self.learnts {
+                let scaled = self.db.activity(r) * 1e-20;
+                self.db.set_activity(r, scaled);
             }
             self.cla_inc *= 1e-20;
         }
@@ -667,23 +729,29 @@ impl Solver {
         self.cla_inc /= self.cla_decay;
     }
 
-    /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal first) and the backtrack level.
-    fn analyze(&mut self, mut confl: ClauseRef) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit::from_code(0)]; // placeholder slot 0
+    /// First-UIP conflict analysis. Leaves the learnt clause (asserting
+    /// literal first) in `self.learnt` and returns the backtrack level.
+    fn analyze(&mut self, mut confl: ClauseRef) -> u32 {
+        let mut learnt = std::mem::take(&mut self.learnt);
+        learnt.clear();
+        learnt.push(Lit::from_code(0)); // placeholder slot 0
         let mut path_count: u32 = 0;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
 
         loop {
-            if self.db.get(confl).learnt {
+            if self.db.is_learnt(confl) {
                 self.clause_bump(confl);
             }
-            let start = if p.is_none() { 0 } else { 1 };
-            let n = self.db.get(confl).len();
-            for k in start..n {
-                let q = self.db.get(confl).lits[k];
+            // Resolve on every literal but the one `confl` implied (a
+            // binary reason may hold it at either position).
+            let implied = p.map(|l| l.var());
+            for k in 0..self.db.len(confl) {
+                let q = self.db.lits(confl)[k];
                 let v = q.var();
+                if Some(v) == implied {
+                    continue;
+                }
                 if !self.seen[v.index()] && self.level(v) > 0 {
                     self.seen[v.index()] = true;
                     self.analyze_clear.push(v);
@@ -717,27 +785,20 @@ impl Solver {
 
         // Self-subsumption minimization: drop literals whose reason clause
         // is fully covered by the remaining learnt literals.
-        let mut keep = vec![true; learnt.len()];
-        for (idx, &l) in learnt.iter().enumerate().skip(1) {
-            if let Some(r) = self.reason(l.var()) {
-                let mut redundant = true;
-                for &q in &self.db.get(r).lits[1..] {
-                    if !self.seen[q.var().index()] && self.level(q.var()) > 0 {
-                        redundant = false;
-                        break;
-                    }
-                }
-                if redundant {
-                    keep[idx] = false;
-                }
+        let mut kept = 1;
+        for i in 1..learnt.len() {
+            let l = learnt[i];
+            let redundant = self.reason(l.var()).is_some_and(|r| {
+                self.db.lits(r).iter().all(|&q| {
+                    q.var() == l.var() || self.seen[q.var().index()] || self.level(q.var()) == 0
+                })
+            });
+            if !redundant {
+                learnt[kept] = l;
+                kept += 1;
             }
         }
-        let learnt: Vec<Lit> = learnt
-            .into_iter()
-            .enumerate()
-            .filter(|&(i, _)| keep[i])
-            .map(|(_, l)| l)
-            .collect();
+        learnt.truncate(kept);
 
         // Find backtrack level: max level among learnt[1..].
         let bt_level = if learnt.len() == 1 {
@@ -756,51 +817,64 @@ impl Solver {
         for v in self.analyze_clear.drain(..) {
             self.seen[v.index()] = false;
         }
-        (learnt, bt_level)
+        self.learnt = learnt;
+        bt_level
     }
 
-    fn lbd_of(&self, lits: &[Lit]) -> u32 {
-        let mut levels: Vec<u32> = lits.iter().map(|l| self.level(l.var())).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        levels.len() as u32
-    }
-
-    fn record_learnt(&mut self, learnt: Vec<Lit>) {
-        self.emit_add(&learnt);
-        self.stats.learnt_clauses = self.db.num_learnt as u64 + 1;
-        if learnt.len() == 1 {
-            self.unchecked_enqueue(learnt[0], None);
-            self.stats.learnt_clauses -= 1;
-            return;
-        }
-        // Put a literal of the backtrack level at index 1 so the watches
-        // are on the two highest-level literals.
-        let mut lits = learnt;
-        let mut max_i = 1;
-        for i in 2..lits.len() {
-            if self.level(lits[i].var()) > self.level(lits[max_i].var()) {
-                max_i = i;
+    /// Number of distinct decision levels among `lits`.
+    fn lbd_of(&mut self, lits: &[Lit]) -> u32 {
+        self.stamp += 1;
+        let mut distinct = 0;
+        for l in lits {
+            let level = self.level(l.var()) as usize;
+            if level >= self.level_stamp.len() {
+                self.level_stamp.resize(level + 1, 0);
+            }
+            if self.level_stamp[level] != self.stamp {
+                self.level_stamp[level] = self.stamp;
+                distinct += 1;
             }
         }
-        lits.swap(1, max_i);
-        let lbd = self.lbd_of(&lits);
-        let asserting = lits[0];
-        let cref = self.db.push(Clause::new(lits, true));
-        self.db.get_mut(cref).lbd = lbd;
-        self.attach(cref);
-        self.clause_bump(cref);
-        self.learnts.push(cref);
-        self.unchecked_enqueue(asserting, Some(cref));
+        distinct
     }
 
-    fn is_locked(&self, cref: ClauseRef) -> bool {
-        let c = self.db.get(cref);
-        if c.deleted || c.is_empty() {
-            return false;
+    /// Stores the clause in `self.learnt` and asserts its first literal.
+    fn record_learnt(&mut self) {
+        let mut lits = std::mem::take(&mut self.learnt);
+        self.emit_add(&lits);
+        self.stats.learnt_clauses = self.db.num_learnt as u64 + 1;
+        if lits.len() == 1 {
+            self.unchecked_enqueue(lits[0], None);
+            self.stats.learnt_clauses -= 1;
+        } else {
+            // Put a literal of the backtrack level at index 1 so the
+            // watches are on the two highest-level literals.
+            let mut max_i = 1;
+            for i in 2..lits.len() {
+                if self.level(lits[i].var()) > self.level(lits[max_i].var()) {
+                    max_i = i;
+                }
+            }
+            lits.swap(1, max_i);
+            let lbd = self.lbd_of(&lits);
+            let cref = self.db.push(&lits, true);
+            self.db.set_lbd(cref, lbd);
+            self.attach(cref);
+            self.learnts.push(cref);
+            self.clause_bump(cref);
+            self.unchecked_enqueue(lits[0], Some(cref));
         }
-        let first = c.lits[0];
-        self.value_lit(first) == LBool::True && self.reason(first.var()) == Some(cref)
+        self.learnt = lits;
+    }
+
+    /// Whether `cref` is the reason of a current assignment. The implied
+    /// literal is at position 0 of a long clause but may be at either
+    /// position of a binary one.
+    fn is_locked(&self, cref: ClauseRef) -> bool {
+        !self.db.is_deleted(cref)
+            && self.db.lits(cref)[..2]
+                .iter()
+                .any(|&l| self.value_lit(l) == LBool::True && self.reason(l.var()) == Some(cref))
     }
 
     /// Deletes roughly half of the learnt clauses, keeping glue clauses
@@ -811,35 +885,62 @@ impl Solver {
             .learnts
             .iter()
             .copied()
-            .filter(|&r| {
-                let c = self.db.get(r);
-                !c.deleted && c.lbd > 2 && c.len() > 2 && !self.is_locked(r)
-            })
+            .filter(|&r| self.db.lbd(r) > 2 && self.db.len(r) > 2 && !self.is_locked(r))
             .collect();
         cands.sort_by(|&a, &b| {
-            let ca = self.db.get(a);
-            let cb = self.db.get(b);
-            cb.lbd.cmp(&ca.lbd).then(
-                ca.activity
-                    .partial_cmp(&cb.activity)
+            self.db.lbd(b).cmp(&self.db.lbd(a)).then(
+                self.db
+                    .activity(a)
+                    .partial_cmp(&self.db.activity(b))
                     .unwrap_or(std::cmp::Ordering::Equal),
             )
         });
         let to_remove = cands.len() / 2;
         for &r in cands.iter().take(to_remove) {
-            if self.proof.is_some() {
-                let lits = self.db.get(r).lits.clone();
-                self.emit_delete(&lits);
-            }
-            self.db.delete(r);
+            self.delete_clause(r);
         }
-        self.learnts.retain(|&r| !self.db.get(r).deleted);
+        self.learnts.retain(|&r| !self.db.is_deleted(r));
         self.stats.learnt_clauses = self.db.num_learnt as u64;
+        self.collect_garbage();
+    }
+
+    /// Deletes a clause from the database and the proof.
+    fn delete_clause(&mut self, r: ClauseRef) {
+        if let Some(p) = self.proof.as_mut() {
+            p.0.delete_clause(self.db.lits(r));
+        }
+        self.db.delete(r);
+    }
+
+    /// Compacts the arena once deleted clauses waste enough of it, and
+    /// remaps every clause reference: watchers (dropping those of
+    /// deleted clauses), reasons and `learnts`, all in their order.
+    fn collect_garbage(&mut self) {
+        if !self.db.wants_compaction() {
+            return;
+        }
+        let moved: Relocation = self.db.compact();
+        for ws in &mut self.watches {
+            ws.retain_mut(|w| match moved.get(w.cref()) {
+                Some(r) => {
+                    *w = Watcher::new(r, w.blocker, w.is_binary());
+                    true
+                }
+                None => false,
+            });
+        }
+        for &l in &self.trail {
+            let data = &mut self.var_data[l.var().index()];
+            data.reason = data.reason.and_then(|r| moved.get(r));
+        }
+        for r in &mut self.learnts {
+            *r = moved.get(*r).expect("learnts holds live clauses only");
+        }
     }
 
     fn pick_branch(&mut self) -> Option<Lit> {
         while let Some(v) = self.order.pop_max(&self.activity) {
-            if self.assigns[v.index()] == LBool::Undef {
+            if self.vals[v.positive().code()] == LBool::Undef {
                 return Some(v.lit(self.saved_phase[v.index()]));
             }
         }
@@ -868,10 +969,8 @@ impl Solver {
                     self.conflict_core.push(self.trail[i]);
                 }
                 Some(r) => {
-                    let n = self.db.get(r).len();
-                    for k in 1..n {
-                        let q = self.db.get(r).lits[k];
-                        if self.level(q.var()) > 0 {
+                    for &q in self.db.lits(r) {
+                        if q.var() != v && self.level(q.var()) > 0 {
                             self.seen[q.var().index()] = true;
                         }
                     }
@@ -928,11 +1027,11 @@ impl Solver {
                     self.cancel_until(0);
                     return self.finish(SolveResult::Unsat);
                 }
-                let (learnt, bt) = self.analyze(confl);
+                let bt = self.analyze(confl);
                 self.cancel_until(bt);
                 // Assumptions may sit above the backtrack level; replaying
                 // them is handled by the decision loop below.
-                self.record_learnt(learnt);
+                self.record_learnt();
                 self.var_decay();
                 self.clause_decay();
                 // Check limits here too: a long conflict chain must not
@@ -1000,7 +1099,8 @@ impl Solver {
                 match decision {
                     None => {
                         // All variables assigned: model found.
-                        self.model = self.assigns.clone();
+                        self.model.clear();
+                        self.model.extend(self.vals.iter().step_by(2));
                         self.cancel_until(0);
                         return self.finish(SolveResult::Sat);
                     }
@@ -1021,36 +1121,33 @@ impl Solver {
         if !self.ok {
             return;
         }
-        let refs: Vec<ClauseRef> = self.db.live_refs().collect();
+        let refs: Vec<ClauseRef> = self.db.refs().collect();
         for r in refs {
             if self.is_locked(r) {
                 continue;
             }
             let satisfied = self
                 .db
-                .get(r)
-                .lits
+                .lits(r)
                 .iter()
                 .any(|&l| self.value_lit(l) == LBool::True);
             if satisfied {
-                if self.proof.is_some() {
-                    let lits = self.db.get(r).lits.clone();
-                    self.emit_delete(&lits);
-                }
-                self.db.delete(r);
+                self.delete_clause(r);
             }
         }
-        self.learnts.retain(|&r| !self.db.get(r).deleted);
+        self.learnts.retain(|&r| !self.db.is_deleted(r));
+        self.collect_garbage();
     }
 }
 
 impl CnfSink for Solver {
     fn new_var(&mut self) -> Var {
-        let v = Var::from_index(self.assigns.len());
+        let v = Var::from_index(self.num_vars());
         if let Some(mirror) = self.mirror.as_mut() {
-            mirror.num_vars = self.assigns.len() + 1;
+            mirror.num_vars = v.index() + 1;
         }
-        self.assigns.push(LBool::Undef);
+        self.vals.push(LBool::Undef);
+        self.vals.push(LBool::Undef);
         self.var_data.push(VarData {
             reason: None,
             level: 0,
@@ -1060,7 +1157,7 @@ impl CnfSink for Solver {
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.order.grow_to(self.assigns.len());
+        self.order.grow_to(v.index() + 1);
         self.order.insert(v, &self.activity);
         v
     }
@@ -1070,6 +1167,6 @@ impl CnfSink for Solver {
     }
 
     fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.vals.len() / 2
     }
 }

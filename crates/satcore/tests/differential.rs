@@ -30,6 +30,34 @@ fn arb_cnf(max_vars: usize, max_clauses: usize) -> impl Strategy<Value = Cnf> {
     })
 }
 
+/// Random 3-SAT at ratio 4.26 over 150–200 variables: too large for
+/// brute force, but hard enough that the search usually learns past the
+/// 1000-clause limit and reduces its learnt-clause database (compacting
+/// the clause arena) before it answers.
+fn arb_reducing_3sat() -> impl Strategy<Value = Cnf> {
+    (150usize..=200).prop_flat_map(|nv| {
+        let lit = (0..nv, any::<bool>()).prop_map(|(v, pos)| Var::from_index(v).lit(pos));
+        let clauses = (4.26 * nv as f64).round() as usize;
+        proptest::collection::vec(proptest::collection::vec(lit, 3), clauses).prop_map(
+            move |clauses| Cnf {
+                num_vars: nv,
+                clauses,
+            },
+        )
+    })
+}
+
+/// The differential size classes: three in four cases are small enough
+/// to brute-force, the fourth reaches learnt-clause reduction.
+fn arb_formula() -> impl Strategy<Value = Cnf> {
+    prop_oneof![
+        arb_cnf(8, 40),
+        arb_cnf(8, 40),
+        arb_cnf(8, 40),
+        arb_reducing_3sat()
+    ]
+}
+
 /// Solves `cnf` with proof logging and mirroring armed, returning the
 /// verdict plus everything a certifier needs.
 fn solve_certified(cnf: &Cnf) -> (SolveResult, Solver, ProofBuffer) {
@@ -45,26 +73,36 @@ fn solve_certified(cnf: &Cnf) -> (SolveResult, Solver, ProofBuffer) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
-    /// Every verdict agrees with brute force and certifies: sat models
-    /// pass the independent model checker against the *mirrored*
-    /// formula, unsat proofs replay through the RUP checker.
+    /// Every verdict certifies: sat models pass the independent model
+    /// checker against the *mirrored* formula, unsat proofs replay
+    /// through the RUP checker. Small formulas must also agree with
+    /// brute force.
     #[test]
-    fn verdicts_agree_and_certify(cnf in arb_cnf(8, 40)) {
-        let reference = solve_brute_force(&cnf);
+    fn verdicts_agree_and_certify(cnf in arb_formula()) {
         let (verdict, solver, buffer) = solve_certified(&cnf);
         let mirror = solver.mirror().expect("mirror armed").clone();
         prop_assert_eq!(&mirror, &cnf, "mirror must reproduce the formula verbatim");
-        match (reference, verdict) {
-            (Some(_), SolveResult::Sat) => {
+        if cnf.num_vars <= 8 {
+            let reference = solve_brute_force(&cnf);
+            prop_assert_eq!(
+                reference.is_some(),
+                verdict == SolveResult::Sat,
+                "mismatch: reference={:?} cdcl={:?}",
+                reference.is_some(),
+                verdict
+            );
+        }
+        match verdict {
+            SolveResult::Sat => {
                 prop_assert_eq!(check_model(&mirror, solver.model_values()), Ok(()));
             }
-            (None, SolveResult::Unsat) => {
+            SolveResult::Unsat => {
                 let steps = buffer.take_steps();
                 let stats = check_unsat_proof(&mirror, &steps, &[])
                     .expect("emitted DRAT proof must check");
                 prop_assert!(stats.steps as usize == steps.len());
             }
-            (r, v) => prop_assert!(false, "mismatch: reference={:?} cdcl={:?}", r.is_some(), v),
+            SolveResult::Unknown => prop_assert!(false, "no limits set, yet no verdict"),
         }
     }
 
