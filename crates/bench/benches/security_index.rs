@@ -32,7 +32,7 @@ fn bench_security_index(c: &mut Criterion) {
         let ms = grid(buses);
         group.bench_function(format!("sat/ieee{buses}"), |bench| {
             bench.iter(|| {
-                let mut engine = SecurityIndexAnalyzer::new(&ms);
+                let mut engine = SecurityIndexAnalyzer::new(&ms).expect("full sets are indexable");
                 black_box(engine.distribution())
             })
         });

@@ -117,7 +117,9 @@ mod imp {
         let started = Instant::now();
         let mut clients = Vec::with_capacity(point.conns);
         for _ in 0..point.conns {
-            let verify = verify.clone();
+            // One buffer per request: the line and its newline leave
+            // in a single write.
+            let frame = format!("{verify}\n");
             let stop = Arc::clone(&stop);
             let depth = point.depth;
             clients.push(std::thread::spawn(move || {
@@ -130,7 +132,7 @@ mod imp {
                 let mut line = String::new();
                 for _ in 0..depth {
                     outstanding.push_back(Instant::now());
-                    writeln!(writer, "{verify}").expect("send");
+                    writer.write_all(frame.as_bytes()).expect("send");
                 }
                 while let Some(sent) = outstanding.pop_front() {
                     line.clear();
@@ -139,7 +141,7 @@ mod imp {
                     latencies_ns.push(sent.elapsed().as_nanos() as f64);
                     if !stop.load(Ordering::Relaxed) {
                         outstanding.push_back(Instant::now());
-                        writeln!(writer, "{verify}").expect("send");
+                        writer.write_all(frame.as_bytes()).expect("send");
                     }
                 }
                 latencies_ns
@@ -157,7 +159,7 @@ mod imp {
         // Stop the service and wait out its drain.
         let ctrl = TcpStream::connect(addr).expect("ctrl connect");
         let mut w = ctrl.try_clone().expect("ctrl clone");
-        writeln!(w, "{{\"op\":\"shutdown\"}}").expect("shutdown");
+        w.write_all(b"{\"op\":\"shutdown\"}\n").expect("shutdown");
         let mut ack = String::new();
         BufReader::new(ctrl).read_line(&mut ack).expect("ack");
         server.join().expect("server thread");

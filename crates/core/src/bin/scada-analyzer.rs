@@ -307,6 +307,25 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         Some(config) => AnalysisInput::from(config),
         None => scada_analyzer::casestudy::five_bus_case_study(),
     };
+    // Property-independent: one cardinality-descent per electrical
+    // component over the measurement set, certified (and
+    // fault-injectable) through the same log as the verdicts. A model
+    // with no index distribution is rejected like a malformed config,
+    // before any query runs.
+    let mut index_engine = if flag("--security-index") {
+        match scada_analyzer::SecurityIndexAnalyzer::with_certification(
+            &input.measurements,
+            certify,
+        ) {
+            Ok(engine) => Some(engine),
+            Err(e) => {
+                eprintln!("error: {e}");
+                return Ok(ExitCode::FAILURE);
+            }
+        }
+    } else {
+        None
+    };
     println!(
         "system: {} buses, {} measurements; {} IEDs, {} RTUs, {} links; spec: {spec}",
         input.measurements.num_states(),
@@ -438,12 +457,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         }
     }
 
-    if flag("--security-index") {
-        // Property-independent: one cardinality-descent per electrical
-        // component over the measurement set, certified (and
-        // fault-injectable) through the same log as the verdicts above.
-        let mut engine =
-            scada_analyzer::SecurityIndexAnalyzer::with_certification(&input.measurements, certify);
+    if let Some(engine) = &mut index_engine {
         let distribution = engine.distribution();
         println!(
             "security index: min {} / max {} over {} measurement(s)  ({} solve(s){})",
@@ -599,10 +613,12 @@ impl Conn {
     /// Returns the raw response line alongside the parsed value.
     fn request(&mut self, line: &str) -> Result<(String, Json), String> {
         use std::io::{BufRead as _, Write as _};
+        // The line and its newline leave in one write: two writes would
+        // put the newline behind Nagle's algorithm on some stacks.
+        let frame = format!("{line}\n");
         for _ in 0..600 {
-            writeln!(self.writer, "{line}").map_err(|e| format!("send failed: {e}"))?;
             self.writer
-                .flush()
+                .write_all(frame.as_bytes())
                 .map_err(|e| format!("send failed: {e}"))?;
             let mut resp = String::new();
             let n = self

@@ -84,7 +84,9 @@ pub use maxres::BudgetAxis;
 pub use obs::{JsonlTracer, MetricsRegistry, Obs, TraceEvent, TraceSink};
 pub use parallel::{par_max_resiliency, verify_batch};
 pub use patch::{ModelPatch, PatchError};
-pub use security_index::{SecurityIndexAnalyzer, SecurityIndexDistribution, SecurityIndexReport};
+pub use security_index::{
+    SecurityIndexAnalyzer, SecurityIndexDistribution, SecurityIndexReport, UnindexableMeasurement,
+};
 pub use service::{advance_model_hash, model_hash, ModelHash};
 pub use spec::{
     parse_duration, FailureBudget, Property, QueryCtx, QueryLimits, ResiliencySpec, RetryPolicy,

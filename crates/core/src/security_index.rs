@@ -27,11 +27,17 @@
 //! against the mirrored clauses, and the extracted attack is re-priced
 //! directly from the measurement list.
 //!
+//! A measurement set with an injection at a bus that has no incident
+//! line has no index distribution; the constructor rejects it with an
+//! [`UnindexableMeasurement`], as the min-cut engine does.
+//!
 //! This module is the SAT half of a cross-validated pair;
 //! [`powergrid::securityindex`] computes the same quantity by min-cut
 //! over the sparsity graph, sharing no code with this encoding.
 
 use boolexpr::UnaryCounter;
+use powergrid::securityindex::check_indexable;
+pub use powergrid::securityindex::UnindexableMeasurement;
 use powergrid::{BusId, MeasurementId, MeasurementKind, MeasurementSet};
 use satcore::{
     check_model, CnfSink as _, LBool, Lit, ProofBuffer, ProofStep, RupChecker, SolveResult, Solver,
@@ -100,17 +106,27 @@ pub struct SecurityIndexAnalyzer {
 
 impl SecurityIndexAnalyzer {
     /// Builds the encoding for a measurement set (uncertified).
-    pub fn new(ms: &MeasurementSet) -> SecurityIndexAnalyzer {
+    ///
+    /// # Errors
+    ///
+    /// As [`with_certification`](Self::with_certification).
+    pub fn new(ms: &MeasurementSet) -> Result<SecurityIndexAnalyzer, UnindexableMeasurement> {
         SecurityIndexAnalyzer::with_certification(ms, &CertifyOptions::default())
     }
 
     /// Builds the encoding; with `certify.enabled` every query's final
     /// unsat bound is DRAT-replayed and its optimal model re-checked,
     /// outcomes tallied into `certify.log`.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a measurement set holding an injection at a bus with no
+    /// incident line (no attack reaches it, so it has no index).
     pub fn with_certification(
         ms: &MeasurementSet,
         certify: &CertifyOptions,
-    ) -> SecurityIndexAnalyzer {
+    ) -> Result<SecurityIndexAnalyzer, UnindexableMeasurement> {
+        check_indexable(ms)?;
         let mut solver = Solver::new();
         let cert = certify.enabled.then(|| {
             let buffer = ProofBuffer::new();
@@ -168,14 +184,14 @@ impl SecurityIndexAnalyzer {
             })
             .collect();
         let counter = UnaryCounter::build(&mut solver, &y);
-        SecurityIndexAnalyzer {
+        Ok(SecurityIndexAnalyzer {
             solver,
             c,
             y,
             counter,
             ms: ms.clone(),
             cert,
-        }
+        })
     }
 
     /// The measurement set the encoding was built for.
@@ -193,9 +209,7 @@ impl SecurityIndexAnalyzer {
     ///
     /// # Panics
     ///
-    /// Panics if the target's affected literal can never hold, which
-    /// only happens for an injection at an isolated bus (a measurement
-    /// whose Jacobian row is structurally zero has no index).
+    /// Panics if `target` is out of range for the measurement set.
     pub fn index_of(&mut self, target: MeasurementId) -> SecurityIndexReport {
         let yt = self.y[target.index()];
         let mut solves = 0;
@@ -215,7 +229,7 @@ impl SecurityIndexAnalyzer {
         assert_eq!(
             outcome,
             SolveResult::Sat,
-            "{target} is structurally unattackable (isolated-bus injection?)"
+            "{target} unattackable in a model the constructor accepted"
         );
         let mut best = self.snapshot();
         let mut final_assumptions = vec![yt];
@@ -302,11 +316,6 @@ impl SecurityIndexAnalyzer {
     /// The cheapest single-bus attack that touches `target`, priced in
     /// plain code: a feasible solution, hence an upper bound that lets
     /// the descent skip the unconstrained opening model.
-    ///
-    /// # Panics
-    ///
-    /// Panics for an injection at an isolated bus (structurally
-    /// unattackable, no index).
     fn single_bus_bound(&self, target: MeasurementId) -> usize {
         let sys = self.ms.system();
         let candidates: Vec<BusId> = match self.ms.kind(target) {
@@ -328,7 +337,7 @@ impl SecurityIndexAnalyzer {
                 priced_affected(&self.ms, &support).len()
             })
             .min()
-            .expect("injection-measured bus with no incident line")
+            .expect("the constructor admits no injection without an incident line")
     }
 
     /// Captures the current model's support and affected set.
@@ -506,7 +515,7 @@ mod tests {
             ],
         );
         let ms = MeasurementSet::full(sys);
-        let mut analyzer = SecurityIndexAnalyzer::new(&ms);
+        let mut analyzer = SecurityIndexAnalyzer::new(&ms).unwrap();
         for id in ms.ids() {
             assert_eq!(analyzer.index_of(id).index, 4, "{id}");
         }
@@ -515,7 +524,7 @@ mod tests {
     #[test]
     fn clause_count_flat_across_queries() {
         let ms = MeasurementSet::full(case5());
-        let mut analyzer = SecurityIndexAnalyzer::new(&ms);
+        let mut analyzer = SecurityIndexAnalyzer::new(&ms).unwrap();
         let before = analyzer.clauses();
         let distribution = analyzer.distribution();
         assert_eq!(
@@ -530,7 +539,7 @@ mod tests {
     #[test]
     fn witness_prices_to_the_index() {
         let ms = MeasurementSet::full(ieee14());
-        let mut analyzer = SecurityIndexAnalyzer::new(&ms);
+        let mut analyzer = SecurityIndexAnalyzer::new(&ms).unwrap();
         for id in ms.ids().take(8) {
             let report = analyzer.index_of(id);
             let support: Vec<bool> = (0..ms.system().num_buses())
@@ -545,7 +554,7 @@ mod tests {
     fn certified_queries_check_and_fault_injection_is_caught() {
         let ms = MeasurementSet::full(case5());
         let certify = CertifyOptions::enabled();
-        let mut analyzer = SecurityIndexAnalyzer::with_certification(&ms, &certify);
+        let mut analyzer = SecurityIndexAnalyzer::with_certification(&ms, &certify).unwrap();
         let report = analyzer.index_of(MeasurementId(0));
         match report.certificate {
             Some(Certificate::Proof { .. }) | Some(Certificate::Threat { .. }) => {}
@@ -556,7 +565,7 @@ mod tests {
         for fault in [CertFault::CorruptProof, CertFault::CorruptModel] {
             let mut options = CertifyOptions::enabled();
             options.fault = Some(fault);
-            let mut analyzer = SecurityIndexAnalyzer::with_certification(&ms, &options);
+            let mut analyzer = SecurityIndexAnalyzer::with_certification(&ms, &options).unwrap();
             let report = analyzer.index_of(MeasurementId(0));
             assert!(
                 report.certificate.as_ref().is_some_and(|c| c.is_failure()),

@@ -42,7 +42,7 @@ use std::sync::{Arc, Mutex};
 
 use super::poll::{Event, Interest, Poller, Token};
 use super::protocol::error_line;
-use super::server::{LineHandler, Response};
+use super::server::{frame_reply, LineHandler, Response};
 
 /// Per-connection cap on queued-but-unanswered requests; past it the
 /// loop stops reading the connection until replies drain.
@@ -318,6 +318,10 @@ pub fn serve_event_loop<H: LineHandler>(
                                 if stream.set_nonblocking(true).is_err() {
                                     continue;
                                 }
+                                // Replies go out unheld (DESIGN §11).
+                                // Best effort: a socket that refuses
+                                // the option is still served.
+                                let _ = stream.set_nodelay(true);
                                 if let Some(bytes) = sndbuf {
                                     let _ = super::poll::set_send_buffer(&stream, bytes);
                                 }
@@ -528,8 +532,7 @@ fn flush_conn(conn: &mut Conn) -> io::Result<()> {
         let Some((_, Pending::Done(response))) = conn.pending.pop_front() else {
             unreachable!("matched Done above");
         };
-        conn.outbuf.extend_from_slice(response.line.as_bytes());
-        conn.outbuf.push(b'\n');
+        frame_reply(&mut conn.outbuf, &response.line);
         if response.shutdown {
             conn.closing = true;
         }

@@ -952,10 +952,11 @@ pub enum QueryReply {
     },
     /// Reply to `patch` (never cached — the engine rekeys the session
     /// and renders it through `patch_line`, not `reply_line`).
+    /// A rejected patch is the session query's `Err` instead, and
+    /// leaves the session's model untouched.
     Patched {
-        /// Delta statistics on success, a rejection reason otherwise
-        /// (a rejected patch leaves the session's model untouched).
-        result: Result<DeltaStats, String>,
+        /// Delta statistics of the applied patch.
+        stats: DeltaStats,
     },
 }
 
@@ -1015,13 +1016,7 @@ impl QueryReply {
                     0
                 }
             }
-            QueryReply::Patched { result } => {
-                if result.is_ok() {
-                    0
-                } else {
-                    2
-                }
-            }
+            QueryReply::Patched { .. } => 0,
         }
     }
 }

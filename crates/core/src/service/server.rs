@@ -19,7 +19,7 @@
 //!   of finishing), joins every session worker, and only then lets the
 //!   process exit 0.
 
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -310,12 +310,12 @@ impl Engine {
                 let query: SessionQuery = Box::new(move |analyzer| {
                     analyzer.set_limits(query_limits);
                     let report = analyzer.verify_with_report(property, spec);
-                    QueryReply::Verify {
+                    Ok(QueryReply::Verify {
                         verdict: report.verdict,
                         conflicts: report.conflicts,
                         attempts: report.attempts,
                         certificate: report.certificate.as_ref().map(cert_status),
-                    }
+                    })
                 });
                 self.run_query("verify", model, key, query, start)
             }
@@ -336,7 +336,7 @@ impl Engine {
                 let query: SessionQuery = Box::new(move |analyzer| {
                     analyzer.set_limits(query_limits);
                     let max = analyzer.max_resiliency(property, axis, r);
-                    QueryReply::MaxRes { max }
+                    Ok(QueryReply::MaxRes { max })
                 });
                 self.run_query("maxres", model, key, query, start)
             }
@@ -368,11 +368,11 @@ impl Engine {
                     // model stays an exact encoding of the (possibly
                     // patched) input.
                     let space = enumerate_threats(analyzer.input(), property, spec, cap, &ctx);
-                    QueryReply::Enumerate {
+                    Ok(QueryReply::Enumerate {
                         vectors: space.vectors,
                         truncated: space.truncated,
                         undecided: space.undecided,
-                    }
+                    })
                 });
                 self.run_query("enumerate", model, key, query, start)
             }
@@ -389,17 +389,19 @@ impl Engine {
                     // encoding (one counter over the measurement
                     // literals), separate from the session's resiliency
                     // model — built per query, amortized by the verdict
-                    // cache.
-                    let ms = analyzer.input().measurements.clone();
-                    let mut engine = SecurityIndexAnalyzer::with_certification(&ms, &certify);
+                    // cache. A model with no index distribution is an
+                    // error reply, never cached.
+                    let ms = &analyzer.input().measurements;
+                    let mut engine = SecurityIndexAnalyzer::with_certification(ms, &certify)
+                        .map_err(|e| e.to_string())?;
                     let distribution = engine.distribution();
-                    QueryReply::SecurityIndex {
+                    Ok(QueryReply::SecurityIndex {
                         indices: distribution.indices,
                         min: distribution.min,
                         max: distribution.max,
                         solves: distribution.solves,
                         cert_failures: distribution.cert_failures,
-                    }
+                    })
                 });
                 self.run_query("security_index", model, key, query, start)
             }
@@ -519,7 +521,7 @@ impl Engine {
             return self.reply_patch_miss(model, start);
         };
         match ticket.wait() {
-            Ok(QueryReply::Patched { result: Ok(stats) }) => {
+            Ok(QueryReply::Patched { stats }) => {
                 sessions.rekey(model, new_model);
                 drop(sessions);
                 let migrated = lock(&self.cache).migrate(
@@ -581,7 +583,7 @@ impl Engine {
             return self.reply_patch_miss(model, start);
         };
         match ticket.wait() {
-            Ok(QueryReply::Patched { result: Ok(stats) }) => {
+            Ok(QueryReply::Patched { stats }) => {
                 if let Some(handle) = src_sessions.extract(model) {
                     dst_sessions.adopt(handle, new_model);
                 }
@@ -674,13 +676,12 @@ impl Engine {
 
     fn reply_patch_failure(&self, outcome: Result<QueryReply, String>, start: Instant) -> Response {
         let message = match outcome {
-            // Rejected patch: the session's model is untouched, so its
-            // key and cache entries stay valid.
-            Ok(QueryReply::Patched { result: Err(e) }) => e,
             Ok(_) => "patch query returned a non-patch reply".to_string(),
-            // The patch panicked; the worker rebuilt from its current
-            // input, which apply_patch only advances after the delta
-            // encode succeeds — key stays valid.
+            // Rejected patch: the session's model is untouched, so its
+            // key and cache entries stay valid. A panicking patch left
+            // the worker to rebuild from its current input, which
+            // apply_patch only advances after the delta encode
+            // succeeds — the key stays valid there too.
             Err(message) => message,
         };
         self.trace_request("patch", "error", None, start);
@@ -854,8 +855,11 @@ pub(crate) fn op_name(request: &Request) -> &'static str {
 /// Builds the session job for a `patch` request.
 fn patch_query(patch: &ModelPatch) -> SessionQuery {
     let job_patch = patch.clone();
-    Box::new(move |analyzer| QueryReply::Patched {
-        result: analyzer.apply_patch(&job_patch).map_err(|e| e.to_string()),
+    Box::new(move |analyzer| {
+        analyzer
+            .apply_patch(&job_patch)
+            .map(|stats| QueryReply::Patched { stats })
+            .map_err(|e| e.to_string())
     })
 }
 
@@ -1133,17 +1137,28 @@ fn oversized_line(cap: usize) -> String {
     error_line(&format!("request line exceeds {cap} bytes"))
 }
 
+/// Appends one reply frame — the line and its `\n` terminator — to
+/// `out`. Every transport frames its replies here and hands each frame
+/// (or a run of them) to the socket in a single write: split over two
+/// writes, the `\n` would sit behind Nagle's algorithm until the peer's
+/// delayed ACK arrives (see DESIGN §11).
+pub(super) fn frame_reply(out: &mut Vec<u8>, line: &str) {
+    out.reserve(line.len() + 1);
+    out.extend_from_slice(line.as_bytes());
+    out.push(b'\n');
+}
+
 /// Serves the engine over a blocking reader/writer pair (stdio). Runs
 /// until EOF or a `shutdown` request, then drains the engine.
 pub fn serve_stdio<H: LineHandler>(
     engine: &H,
     input: impl Read,
-    output: impl Write,
+    mut output: impl Write,
 ) -> io::Result<()> {
     let mut reader = BoundedLineReader::new(BufReader::new(input), engine.max_line());
-    let mut out = BufWriter::new(output);
+    let mut frame = Vec::new();
     loop {
-        match reader.poll_line()? {
+        let (line, shutdown) = match reader.poll_line()? {
             // Pending on a blocking reader means a signal interrupted
             // the read: poll the drain flags, then retry.
             LinePoll::Pending => {
@@ -1156,21 +1171,21 @@ pub fn serve_stdio<H: LineHandler>(
                 continue;
             }
             LinePoll::Eof => break,
-            LinePoll::Oversized => {
-                writeln!(out, "{}", oversized_line(engine.max_line()))?;
-                out.flush()?;
-            }
+            LinePoll::Oversized => (oversized_line(engine.max_line()), false),
             LinePoll::Line(line) => {
                 if line.trim().is_empty() {
                     continue;
                 }
                 let response = engine.handle_line(&line);
-                writeln!(out, "{}", response.line)?;
-                out.flush()?;
-                if response.shutdown {
-                    break;
-                }
+                (response.line, response.shutdown)
             }
+        };
+        frame.clear();
+        frame_reply(&mut frame, &line);
+        output.write_all(&frame)?;
+        output.flush()?;
+        if shutdown {
+            break;
         }
     }
     engine.drain();
@@ -1181,10 +1196,14 @@ fn serve_connection<H: LineHandler>(engine: &H, stream: TcpStream) -> io::Result
     // A short read timeout turns the blocking read into a poll, so the
     // connection notices a drain started elsewhere within ~100 ms.
     stream.set_read_timeout(Some(Duration::from_millis(100)))?;
+    // Replies go out unheld (DESIGN §11). Best effort: a socket that
+    // refuses the option is still served, only slower.
+    let _ = stream.set_nodelay(true);
     let mut writer = stream.try_clone()?;
     let mut reader = BoundedLineReader::new(BufReader::new(stream), engine.max_line());
+    let mut frame = Vec::new();
     loop {
-        match reader.poll_line() {
+        let (line, shutdown) = match reader.poll_line() {
             Ok(LinePoll::Pending) => {
                 if super::signal::drain_requested() {
                     engine.begin_drain();
@@ -1192,24 +1211,26 @@ fn serve_connection<H: LineHandler>(engine: &H, stream: TcpStream) -> io::Result
                 if engine.is_draining() {
                     break;
                 }
+                continue;
             }
             Ok(LinePoll::Eof) => break,
-            Ok(LinePoll::Oversized) => {
-                writeln!(writer, "{}", oversized_line(engine.max_line()))?;
-            }
+            Ok(LinePoll::Oversized) => (oversized_line(engine.max_line()), false),
             Ok(LinePoll::Line(line)) => {
                 if line.trim().is_empty() {
                     continue;
                 }
                 let response = engine.handle_line(&line);
-                writeln!(writer, "{}", response.line)?;
-                if response.shutdown {
-                    break;
-                }
+                (response.line, response.shutdown)
             }
             // A connection-level error (reset, broken pipe) ends this
             // connection, never the service.
             Err(_) => break,
+        };
+        frame.clear();
+        frame_reply(&mut frame, &line);
+        writer.write_all(&frame)?;
+        if shutdown {
+            break;
         }
     }
     Ok(())

@@ -39,8 +39,11 @@ pub const DEFAULT_SESSION_CAPACITY: usize = 8;
 /// A query over the session's warm analyzer. The analyzer owns its
 /// input; queries that need a throwaway analyzer (e.g. enumeration,
 /// whose blocking clauses would poison the warm one) clone
-/// `analyzer.input()` and build their own.
-pub type SessionQuery = Box<dyn FnOnce(&mut Analyzer<'static>) -> QueryReply + Send>;
+/// `analyzer.input()` and build their own. An `Err` is the query
+/// rejecting the session's model (the caller gets the message; the
+/// analyzer is left as it is).
+pub type SessionQuery =
+    Box<dyn FnOnce(&mut Analyzer<'static>) -> Result<QueryReply, String> + Send>;
 
 struct Job {
     query: SessionQuery,
@@ -82,7 +85,7 @@ fn run_session(
         let Job { query, reply } = job;
         let outcome = catch_unwind(AssertUnwindSafe(|| query(&mut analyzer)));
         let result = match outcome {
-            Ok(result) => Ok(result),
+            Ok(result) => result,
             Err(payload) => {
                 // The query may have left the analyzer mid-encode or with
                 // limits armed; rebuild from the analyzer's *current*
@@ -145,7 +148,8 @@ impl DispatchTicket {
     }
 
     /// Blocks until the session worker answers. An `Err` means the
-    /// query panicked (the session survived and rebuilt itself).
+    /// query rejected the model, or panicked (the session survived and
+    /// rebuilt itself).
     pub fn wait(self) -> Result<QueryReply, String> {
         self.reply
             .recv()
@@ -428,12 +432,12 @@ mod tests {
     fn verify_query(spec: ResiliencySpec) -> SessionQuery {
         Box::new(move |analyzer| {
             let report = analyzer.verify_with_report(Property::Observability, spec);
-            QueryReply::Verify {
+            Ok(QueryReply::Verify {
                 verdict: report.verdict,
                 conflicts: report.conflicts,
                 attempts: report.attempts,
                 certificate: None,
-            }
+            })
         })
     }
 

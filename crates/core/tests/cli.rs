@@ -327,6 +327,34 @@ fn concurrent_certified_fleet_writes_one_clean_proof_per_query() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Bus 3 has no line, yet its injection is measured: the index is
+/// undefined for this model, and `--security-index` must say so as an
+/// input error (exit 1, the malformed-config rung) instead of panicking.
+#[test]
+fn security_index_rejects_an_isolated_bus_injection() {
+    let path = std::env::temp_dir().join(format!(
+        "scada-analyzer-cli-{}-isolated.scada",
+        std::process::id()
+    ));
+    std::fs::write(
+        &path,
+        "[buses]\n3\n[lines]\n1 2 16.9\n[measurements]\nflow 1 2\ninjection 3\n\
+         [devices]\nied 1\nrtu 2\nmtu 3\n[links]\n1 2\n2 3\n[ied-measurements]\n1 1 2\n",
+    )
+    .expect("write config");
+    let out = run(&path, &["--property", "obs", "--security-index"]);
+    let stderr = text(&out.stderr);
+    assert_eq!(exit_code(&out), 1, "stderr: {stderr}");
+    assert!(
+        stderr.contains("error: measurement z2 is an injection at bus3")
+            && !stderr.contains("panicked"),
+        "no typed error: {stderr}"
+    );
+    // Rejected before any query runs.
+    assert!(!text(&out.stdout).contains("[observability]"));
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn no_trace_flag_writes_no_file() {
     let config = template_config("no-trace");

@@ -9,15 +9,16 @@
 //! four IEEE systems; the proptest fuzzes random measurement subsets at
 //! random densities.
 
-use powergrid::measurement::MeasurementSet;
-use powergrid::securityindex::security_indices;
+use powergrid::measurement::{MeasurementKind, MeasurementSet};
+use powergrid::securityindex::{security_index, security_indices};
+use powergrid::{BusId, MeasurementId, PowerSystem};
 use proptest::prelude::*;
-use scada_analyzer::{Certificate, CertifyOptions, SecurityIndexAnalyzer};
+use scada_analyzer::{Certificate, CertifyOptions, SecurityIndexAnalyzer, UnindexableMeasurement};
 
 /// SAT-vs-min-cut agreement on every measurement of one system.
 fn assert_engines_agree(ms: &MeasurementSet, label: &str) {
     let mincut = security_indices(ms);
-    let sat = SecurityIndexAnalyzer::new(ms).distribution();
+    let sat = SecurityIndexAnalyzer::new(ms).unwrap().distribution();
     assert_eq!(mincut, sat.indices, "engines disagree on {label}");
     assert!(sat.indices.iter().all(|&i| i >= 1), "{label} index below 1");
 }
@@ -65,7 +66,7 @@ fn engines_agree_on_sampled_sets() {
 fn certified_distribution_agrees_and_checks() {
     let ms = MeasurementSet::full(powergrid::ieee::ieee14());
     let certify = CertifyOptions::enabled();
-    let mut analyzer = SecurityIndexAnalyzer::with_certification(&ms, &certify);
+    let mut analyzer = SecurityIndexAnalyzer::with_certification(&ms, &certify).unwrap();
     let sat = analyzer.distribution();
     assert_eq!(sat.cert_failures, 0);
     assert_eq!(certify.log.failures(), 0);
@@ -90,13 +91,50 @@ fn unsat_bound_is_drat_certified() {
     );
     let ms = MeasurementSet::full(sys);
     let certify = CertifyOptions::enabled();
-    let mut analyzer = SecurityIndexAnalyzer::with_certification(&ms, &certify);
+    let mut analyzer = SecurityIndexAnalyzer::with_certification(&ms, &certify).unwrap();
     let report = analyzer.index_of(powergrid::MeasurementId(0));
     assert_eq!(report.index, 4);
     match report.certificate {
         Some(Certificate::Proof { .. }) => {}
         other => panic!("expected a DRAT-backed proof certificate, got {other:?}"),
     }
+}
+
+/// IEEE-14 with one extra bus (bus 15) that no line reaches.
+fn ieee14_with_isolated_bus() -> PowerSystem {
+    let sys = powergrid::ieee::ieee14();
+    PowerSystem::new("ieee14+isolated", 15, sys.branches().to_vec())
+}
+
+/// Both engines reject a model with an injection at a bus that has no
+/// line, with the same typed error naming the measurement and its bus —
+/// for every target, reachable ones included.
+#[test]
+fn engines_reject_an_isolated_bus_injection_alike() {
+    let sys = ieee14_with_isolated_bus();
+    let mut kinds = MeasurementSet::full(powergrid::ieee::ieee14())
+        .kinds()
+        .to_vec();
+    let measurement = MeasurementId(kinds.len());
+    kinds.push(MeasurementKind::Injection(BusId(14)));
+    let ms = MeasurementSet::new(sys, kinds);
+    let want = UnindexableMeasurement {
+        measurement,
+        bus: BusId(14),
+    };
+    assert_eq!(SecurityIndexAnalyzer::new(&ms).err(), Some(want));
+    assert_eq!(
+        SecurityIndexAnalyzer::with_certification(&ms, &CertifyOptions::enabled()).err(),
+        Some(want)
+    );
+    for id in [MeasurementId(0), measurement] {
+        assert_eq!(security_index(&ms, id), Err(want), "{id}");
+    }
+    let message = want.to_string();
+    assert!(
+        message.contains(&measurement.to_string()) && message.contains("bus15"),
+        "{message}"
+    );
 }
 
 proptest! {
@@ -111,10 +149,33 @@ proptest! {
             return;
         }
         let mincut = security_indices(&ms);
-        let sat = SecurityIndexAnalyzer::new(&ms).distribution();
+        let sat = SecurityIndexAnalyzer::new(&ms).unwrap().distribution();
         prop_assert_eq!(
             mincut,
             sat.indices,
+            "engines disagree at density {} seed {}",
+            density,
+            seed
+        );
+    }
+
+    /// The same with bus 15 isolated: a sampled set either measures its
+    /// injection, and both engines reject the model with the same error,
+    /// or it does not, and both agree on every index.
+    #[test]
+    fn engines_agree_with_an_isolated_bus(density in 0.2f64..1.0, seed in 0u64..10_000) {
+        let ms = MeasurementSet::sampled(ieee14_with_isolated_bus(), density, seed);
+        if ms.is_empty() {
+            return;
+        }
+        let sat = SecurityIndexAnalyzer::new(&ms).map(|mut a| a.distribution().indices);
+        let mincut = ms
+            .ids()
+            .map(|id| security_index(&ms, id).map(|r| r.index))
+            .collect::<Result<Vec<_>, _>>();
+        prop_assert_eq!(
+            sat,
+            mincut,
             "engines disagree at density {} seed {}",
             density,
             seed

@@ -1,12 +1,13 @@
 //! Integration tests for the analysis service: canonical model-hash
 //! properties, and the `scadad` binary driven over stdio and TCP
-//! (protocol robustness, warm-session reuse, graceful drain).
+//! (protocol robustness, warm-session reuse, graceful drain, reply
+//! latency).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use scada_analyzer::service::{serve_tcp, Engine, ServeOptions};
@@ -324,6 +325,65 @@ fn stdio_rejects_oversized_lines_and_keeps_serving() {
     assert!(child.wait().expect("wait").success());
 }
 
+/// A model whose index is undefined (an injection measured at a bus
+/// with no line) gets a typed error from `security_index`: no panic, no
+/// session rebuild, nothing cached, and the session keeps serving.
+#[test]
+fn stdio_security_index_rejects_an_isolated_bus_injection() {
+    const ISOLATED: &str = "[buses]\n3\n[lines]\n1 2 16.9\n[measurements]\nflow 1 2\n\
+                            injection 3\n[devices]\nied 1\nrtu 2\nmtu 3\n[links]\n1 2\n2 3\n\
+                            [ied-measurements]\n1 1 2\n";
+    let mut child = scadad(&[]);
+    let mut stdin = child.stdin.take().expect("stdin");
+    let mut stdout = BufReader::new(child.stdout.take().expect("stdout"));
+
+    let mut escaped = String::new();
+    scada_analyzer::obs::json_escape_into(ISOLATED, &mut escaped);
+    let load = roundtrip(
+        &mut stdin,
+        &mut stdout,
+        &format!("{{\"op\":\"load\",\"config\":\"{escaped}\"}}"),
+    );
+    assert!(load.contains("\"ok\":true"), "load failed: {load}");
+    let model = load
+        .split("\"model\":\"")
+        .nth(1)
+        .and_then(|s| s.split('"').next())
+        .expect("model hash in load response")
+        .to_string();
+
+    let secidx = format!("{{\"op\":\"security_index\",\"model\":\"{model}\"}}");
+    for _ in 0..2 {
+        let reply = roundtrip(&mut stdin, &mut stdout, &secidx);
+        assert!(
+            reply.contains("\"ok\":false")
+                && reply.contains("measurement z2 is an injection at bus3")
+                && !reply.contains("panicked"),
+            "no typed error: {reply}"
+        );
+    }
+    let verify = roundtrip(
+        &mut stdin,
+        &mut stdout,
+        &format!(
+            "{{\"op\":\"verify\",\"model\":\"{model}\",\"property\":\"obs\",\
+             \"spec\":{{\"k1\":0,\"k2\":0}}}}"
+        ),
+    );
+    assert!(
+        verify.contains("\"ok\":true") && verify.contains("\"provenance\":\"warm\""),
+        "session did not keep serving: {verify}"
+    );
+    let stats = roundtrip(&mut stdin, &mut stdout, "{\"op\":\"stats\"}");
+    assert!(
+        !stats.contains("service_session_rebuilds") && stats.contains("\"cache_entries\":1"),
+        "error rebuilt the session or was cached: {stats}"
+    );
+
+    roundtrip(&mut stdin, &mut stdout, "{\"op\":\"shutdown\"}");
+    assert!(child.wait().expect("wait").success());
+}
+
 /// The `health` op and the journal/recovery counters it carries, at
 /// the binary level: `journal:true` with `--journal`, appends counted
 /// per acked mutating op, and the same counters aggregated into the
@@ -614,4 +674,67 @@ fn tcp_thread_per_conn_resyncs_after_oversized_write() {
         .join()
         .expect("serve_tcp panicked")
         .expect("serve_tcp failed");
+}
+
+/// Median round trip of a pipelined pair of `stats` requests: a
+/// `TCP_NODELAY` client writes both lines in one write and reads both
+/// replies, 40 rounds, 2 ms apart. Replies held by Nagle's algorithm
+/// (a second reply waiting on the peer's delayed ACK of the first, or
+/// a `\n` written apart from its line) cost ~40 ms a round.
+fn pipelined_pair_median(addr: &str) -> Duration {
+    let mut client = TcpClient::connect(addr);
+    let mut rounds = Vec::with_capacity(40);
+    for _ in 0..40 {
+        let sent = Instant::now();
+        client
+            .writer
+            .write_all(b"{\"op\":\"stats\"}\n{\"op\":\"stats\"}\n")
+            .expect("send pair");
+        for _ in 0..2 {
+            let reply = client.recv();
+            assert!(reply.contains("\"op\":\"stats\""), "{reply}");
+        }
+        rounds.push(sent.elapsed());
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let ack = client.request("{\"op\":\"shutdown\"}");
+    assert!(ack.contains("\"draining\":true"), "{ack}");
+    rounds.sort();
+    rounds[rounds.len() / 2]
+}
+
+/// Serves a fresh engine in process with `serve` and returns the median
+/// pipelined-pair round trip.
+fn pair_latency_over(serve: fn(Arc<Engine>, TcpListener) -> std::io::Result<()>) -> Duration {
+    let engine = Arc::new(Engine::new(ServeOptions::default()));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let server = std::thread::spawn(move || serve(engine, listener));
+    let median = pipelined_pair_median(&addr);
+    server
+        .join()
+        .expect("server panicked")
+        .expect("server failed");
+    median
+}
+
+#[cfg(unix)]
+#[test]
+fn event_loop_pipelined_replies_are_not_held_by_nagle() {
+    let median = pair_latency_over(|engine, listener| {
+        scada_analyzer::service::serve_event_loop(engine, listener, 0)
+    });
+    assert!(
+        median < Duration::from_millis(10),
+        "median pipelined pair round trip {median:?} (>= 10 ms: replies held by Nagle)"
+    );
+}
+
+#[test]
+fn serve_tcp_pipelined_replies_are_not_held_by_nagle() {
+    let median = pair_latency_over(serve_tcp);
+    assert!(
+        median < Duration::from_millis(10),
+        "median pipelined pair round trip {median:?} (>= 10 ms: replies held by Nagle)"
+    );
 }

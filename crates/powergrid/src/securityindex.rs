@@ -33,12 +33,61 @@
 //! injection-target at `v` needs *some* incident line cut, so it is the
 //! minimum over `v`'s neighbors of the corresponding flow cut.
 //!
+//! An injection measured at a bus with no incident line has a
+//! structurally zero Jacobian row: no attack touches it, so it has no
+//! index. Both engines reject such a measurement set up front with an
+//! [`UnindexableMeasurement`] ([`check_indexable`]).
+//!
 //! This module is the SAT-free half of the engine's cross-validated
 //! pair; `scada_analyzer::security_index` implements the same quantity
 //! by cardinality-minimizing SAT and the two must agree everywhere.
 
+use std::fmt;
+
 use crate::measurement::{MeasurementId, MeasurementKind, MeasurementSet};
 use crate::system::{BranchId, BusId};
+
+/// A measurement no attack can reach: an injection at a bus with no
+/// incident line. A measurement set holding one has no security-index
+/// distribution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UnindexableMeasurement {
+    /// The unreachable injection measurement.
+    pub measurement: MeasurementId,
+    /// Its bus, which has no incident line.
+    pub bus: BusId,
+}
+
+impl fmt::Display for UnindexableMeasurement {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "measurement {} is an injection at {}, which has no incident line: \
+             no attack can reach it, so it has no security index",
+            self.measurement, self.bus
+        )
+    }
+}
+
+impl std::error::Error for UnindexableMeasurement {}
+
+/// Rejects a measurement set that holds an injection at a bus with no
+/// incident line, naming the first such measurement.
+///
+/// # Errors
+///
+/// The first [`UnindexableMeasurement`] in measurement order.
+pub fn check_indexable(ms: &MeasurementSet) -> Result<(), UnindexableMeasurement> {
+    let sys = ms.system();
+    for measurement in ms.ids() {
+        if let MeasurementKind::Injection(bus) = ms.kind(measurement) {
+            if sys.branches_at(bus).is_empty() {
+                return Err(UnindexableMeasurement { measurement, bus });
+            }
+        }
+    }
+    Ok(())
+}
 
 /// One measurement's security index with an optimal attack witness.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -258,12 +307,26 @@ fn cut_between(ms: &MeasurementSet, sparsity: &Sparsity, s: BusId, t: BusId) -> 
 
 /// The security index of one measurement, by min-cut.
 ///
+/// # Errors
+///
+/// The measurement set is rejected ([`check_indexable`]) if it holds an
+/// injection at a bus with no incident line — whichever the target.
+///
 /// # Panics
 ///
 /// Panics if `target` is out of range for `ms`, or if the witness cut
 /// disagrees with the max-flow value (which would mean the gadget
 /// construction is wrong — checked on every query by design).
-pub fn security_index(ms: &MeasurementSet, target: MeasurementId) -> SecurityIndex {
+pub fn security_index(
+    ms: &MeasurementSet,
+    target: MeasurementId,
+) -> Result<SecurityIndex, UnindexableMeasurement> {
+    check_indexable(ms)?;
+    Ok(min_cut_index(ms, target))
+}
+
+/// [`security_index`] on a measurement set [`check_indexable`] accepted.
+fn min_cut_index(ms: &MeasurementSet, target: MeasurementId) -> SecurityIndex {
     let sys = ms.system();
     let best = match ms.kind(target) {
         MeasurementKind::FlowForward(b) | MeasurementKind::FlowBackward(b) => {
@@ -279,7 +342,7 @@ pub fn security_index(ms: &MeasurementSet, target: MeasurementId) -> SecurityInd
                 .into_iter()
                 .map(|u| cut_between(ms, &sparsity, v, u))
                 .min_by_key(|(value, _)| *value)
-                .expect("injection-measured bus with no incident line")
+                .expect("check_indexable admits no injection without an incident line")
         }
     };
     let (value, in_s) = best;
@@ -306,8 +369,17 @@ pub fn security_index(ms: &MeasurementSet, target: MeasurementId) -> SecurityInd
 
 /// The full index distribution: the security index of every measurement
 /// in `ms`, in measurement order.
+///
+/// # Panics
+///
+/// Panics with the [`UnindexableMeasurement`] message on a measurement
+/// set [`check_indexable`] rejects; call that (or [`security_index`])
+/// first on input that may hold an isolated injection.
 pub fn security_indices(ms: &MeasurementSet) -> Vec<usize> {
-    ms.ids().map(|id| security_index(ms, id).index).collect()
+    if let Err(e) = check_indexable(ms) {
+        panic!("{e}");
+    }
+    ms.ids().map(|id| min_cut_index(ms, id).index).collect()
 }
 
 #[cfg(test)]
@@ -339,14 +411,14 @@ mod tests {
         // nothing affects nothing, so 4 is optimal for every target
         // touching line 1.
         let l1_fwd = MeasurementId(0);
-        let got = security_index(&ms, l1_fwd);
+        let got = security_index(&ms, l1_fwd).unwrap();
         assert_eq!(got.index, 4);
         assert_eq!(got.affected.len(), 4);
         assert!(got.affected.contains(&l1_fwd));
         // The end-bus injection shares line 1's optimum; the middle
         // injection can pick either line, also 4.
         for inj in [MeasurementId(4), MeasurementId(5), MeasurementId(6)] {
-            assert_eq!(security_index(&ms, inj).index, 4, "{inj}");
+            assert_eq!(security_index(&ms, inj).unwrap().index, 4, "{inj}");
         }
     }
 
@@ -367,7 +439,7 @@ mod tests {
         let kinds = (0..3).map(|i| MeasurementKind::FlowForward(BranchId(i)));
         let ms = MeasurementSet::new(sys, kinds.collect());
         for id in ms.ids() {
-            assert_eq!(security_index(&ms, id).index, 2, "{id}");
+            assert_eq!(security_index(&ms, id).unwrap().index, 2, "{id}");
         }
     }
 
@@ -386,7 +458,7 @@ mod tests {
             ],
         );
         let ms = MeasurementSet::new(sys, vec![MeasurementKind::FlowForward(BranchId(0))]);
-        let got = security_index(&ms, MeasurementId(0));
+        let got = security_index(&ms, MeasurementId(0)).unwrap();
         assert_eq!(got.index, 1);
         assert_eq!(got.affected, vec![MeasurementId(0)]);
     }
@@ -397,13 +469,52 @@ mod tests {
             let ms = MeasurementSet::full(sys);
             let m = ms.len();
             for id in ms.ids() {
-                let got = security_index(&ms, id);
+                let got = security_index(&ms, id).unwrap();
                 assert!(got.index >= 1, "{id} index 0");
                 assert!(got.index <= m, "{id} index above m");
                 assert!(got.affected.contains(&id), "{id} not in own attack");
                 assert!(!got.attack_buses.is_empty(), "{id} empty support");
             }
         }
+    }
+
+    /// Buses 1–2 joined by one line, bus 3 isolated: flow on the line
+    /// plus an injection at bus 3.
+    fn isolated_injection() -> MeasurementSet {
+        let sys = PowerSystem::new("isolated", 3, vec![Branch::new(BusId(0), BusId(1), 16.9)]);
+        MeasurementSet::new(
+            sys,
+            vec![
+                MeasurementKind::FlowForward(BranchId(0)),
+                MeasurementKind::Injection(BusId(2)),
+            ],
+        )
+    }
+
+    #[test]
+    fn isolated_injection_rejects_the_model() {
+        let ms = isolated_injection();
+        let want = UnindexableMeasurement {
+            measurement: MeasurementId(1),
+            bus: BusId(2),
+        };
+        assert_eq!(check_indexable(&ms), Err(want));
+        // The model is rejected whichever the target, the reachable
+        // flow included.
+        for id in ms.ids() {
+            assert_eq!(security_index(&ms, id), Err(want), "{id}");
+        }
+        let message = want.to_string();
+        assert!(
+            message.contains("z2") && message.contains("bus3"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "measurement z2 is an injection at bus3")]
+    fn distribution_of_a_rejected_model_panics_with_the_error() {
+        security_indices(&isolated_injection());
     }
 
     #[test]
